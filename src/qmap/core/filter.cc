@@ -1,6 +1,7 @@
 #include "qmap/core/filter.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace qmap {
 namespace {
@@ -22,38 +23,45 @@ bool AllLeavesExact(const Query& q, const ExactCoverage& coverage) {
   return false;
 }
 
+using Entry = std::pair<uint64_t, bool>;
+
+// Folds `exact` into `fingerprint`'s entry of the sorted `entries` with
+// `combine`, or inserts the entry in order when it is new. {fp, false} sorts
+// first among fp's possible entries, so lower_bound lands on fp's entry when
+// there is one.
+template <typename Combine>
+void MergeEntry(std::vector<Entry>& entries, uint64_t fingerprint, bool exact,
+                Combine combine) {
+  auto it = std::lower_bound(entries.begin(), entries.end(),
+                             Entry{fingerprint, false});
+  if (it != entries.end() && it->first == fingerprint) {
+    it->second = combine(it->second, exact);
+  } else {
+    entries.insert(it, Entry{fingerprint, exact});
+  }
+}
+
 }  // namespace
 
 void ExactCoverage::Record(const Constraint& c, bool exact) {
-  auto [it, inserted] = by_constraint_.emplace(c.Fingerprint(), exact);
-  if (!inserted) it->second = it->second && exact;
+  RestoreEntry(c.Fingerprint(), exact);
 }
 
 bool ExactCoverage::IsExact(const Constraint& c) const {
-  auto it = by_constraint_.find(c.Fingerprint());
-  return it != by_constraint_.end() && it->second;
-}
-
-std::vector<std::pair<uint64_t, bool>> ExactCoverage::Entries() const {
-  std::vector<std::pair<uint64_t, bool>> out(by_constraint_.begin(),
-                                             by_constraint_.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  const uint64_t fingerprint = c.Fingerprint();
+  auto it = std::lower_bound(by_constraint_.begin(), by_constraint_.end(),
+                             Entry{fingerprint, false});
+  return it != by_constraint_.end() && it->first == fingerprint && it->second;
 }
 
 void ExactCoverage::RestoreEntry(uint64_t constraint_fingerprint, bool exact) {
-  auto [it, inserted] = by_constraint_.emplace(constraint_fingerprint, exact);
-  if (!inserted) it->second = it->second && exact;
+  MergeEntry(by_constraint_, constraint_fingerprint, exact,
+             std::logical_and<>());
 }
 
 void ExactCoverage::MergeAnySource(const ExactCoverage& other) {
-  for (const auto& [key, exact] : other.by_constraint_) {
-    auto it = by_constraint_.find(key);
-    if (it == by_constraint_.end()) {
-      by_constraint_.emplace(key, exact);
-    } else {
-      it->second = it->second || exact;
-    }
+  for (const auto& [fingerprint, exact] : other.by_constraint_) {
+    MergeEntry(by_constraint_, fingerprint, exact, std::logical_or<>());
   }
 }
 

@@ -2,7 +2,6 @@
 #define QMAP_CORE_FILTER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,18 +38,22 @@ class ExactCoverage {
   /// for a canonical order. Serialization hook for the persistent store
   /// (qmap/store): fingerprints are already the identity this class keys
   /// on, so coverage round-trips without the constraints themselves.
-  std::vector<std::pair<uint64_t, bool>> Entries() const;
+  const std::vector<std::pair<uint64_t, bool>>& Entries() const {
+    return by_constraint_;
+  }
 
   /// Re-adds one serialized entry, AND-accumulating like Record() so a
   /// replayed record merges exactly as the original sequence did.
   void RestoreEntry(uint64_t constraint_fingerprint, bool exact);
 
  private:
-  // Keyed by constraint fingerprint (printed-form identity without the
-  // rendering); value: true = exact so far, false = inexact somewhere.
-  // Fingerprints are trusted outright here — a ~2^-64 collision could only
-  // merge the coverage bits of two unrelated constraints.
-  std::unordered_map<uint64_t, bool> by_constraint_;
+  // One entry per constraint fingerprint (printed-form identity without the
+  // rendering), strictly increasing by fingerprint; value: true = exact so
+  // far, false = inexact somewhere. A flat vector so that copying a cached
+  // Translation costs one allocation. Fingerprints are trusted outright
+  // here — a ~2^-64 collision could only merge the coverage bits of two
+  // unrelated constraints.
+  std::vector<std::pair<uint64_t, bool>> by_constraint_;
 };
 
 /// Computes the residue filter F for `original` (Eq. 2-3), given per-

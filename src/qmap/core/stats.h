@@ -72,9 +72,9 @@ struct TranslationStats {
 
   // Service-layer counters (qmap/service): per-source translations answered
   // from / missed by the shared translation cache, answered from the
-  // persistent store tier (qmap/store) after a RAM miss, evictions observed
-  // while answering, and per-source tasks fanned out to the thread pool. All
-  // zero for a bare Translator/Mediator run.
+  // persistent store tier (qmap/store) after a RAM miss, evictions caused by
+  // this call's own cache fills, and per-source cache misses fanned out to
+  // the thread pool. All zero for a bare Translator/Mediator run.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t store_hits = 0;

@@ -67,7 +67,7 @@ std::optional<Translation> TranslationCache::Get(const std::string& key) {
   return Get(KeyOfString(key));
 }
 
-void TranslationCache::Put(const TranslationCacheKey& key, Translation value) {
+bool TranslationCache::Put(const TranslationCacheKey& key, Translation value) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -76,22 +76,22 @@ void TranslationCache::Put(const TranslationCacheKey& key, Translation value) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++shard.stats.updates;
     if (updates_counter_ != nullptr) updates_counter_->Inc();
-    return;
+    return false;
   }
   shard.lru.push_front(Entry{key, std::move(value)});
   shard.index.emplace(key, shard.lru.begin());
   ++shard.stats.insertions;
   if (insertions_counter_ != nullptr) insertions_counter_->Inc();
-  if (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
-    if (evictions_counter_ != nullptr) evictions_counter_->Inc();
-  }
+  if (shard.lru.size() <= per_shard_capacity_) return false;
+  shard.index.erase(shard.lru.back().key);
+  shard.lru.pop_back();
+  ++shard.stats.evictions;
+  if (evictions_counter_ != nullptr) evictions_counter_->Inc();
+  return true;
 }
 
-void TranslationCache::Put(const std::string& key, Translation value) {
-  Put(KeyOfString(key), std::move(value));
+bool TranslationCache::Put(const std::string& key, Translation value) {
+  return Put(KeyOfString(key), std::move(value));
 }
 
 TranslationCacheStats TranslationCache::stats() const {

@@ -105,9 +105,10 @@ class TranslationCache {
   std::optional<Translation> Get(const std::string& key);
 
   /// Inserts or overwrites `key`, making it the shard's most recent entry;
-  /// evicts the shard's least recent entry when over budget.
-  void Put(const TranslationCacheKey& key, Translation value);
-  void Put(const std::string& key, Translation value);
+  /// evicts the shard's least recent entry when over budget. Returns whether
+  /// this Put evicted, so callers can attribute evictions exactly.
+  bool Put(const TranslationCacheKey& key, Translation value);
+  bool Put(const std::string& key, Translation value);
 
   /// Counters aggregated over all shards (a consistent-enough snapshot:
   /// each shard is read under its lock, shards are read in sequence).

@@ -347,7 +347,29 @@ std::vector<std::unique_ptr<MatchMemo>> TranslationService::MakeMemoScope()
   return memos;
 }
 
-Result<Translation> TranslationService::TranslateOne(
+std::optional<Translation> TranslationService::LookupCached(
+    const SourceEntry& source, const Query& full, Trace* trace,
+    uint64_t parent_span) const {
+  if (!options_.enable_cache) return std::nullopt;
+  // A hit never reaches the source, so the resilience guards — and any
+  // injected faults — do not apply: the cache is itself a degradation
+  // buffer (a source can be down and its cached translations still serve).
+  Span lookup(trace, "cache.lookup", parent_span);
+  std::optional<Translation> hit = cache_.Get(CacheKey(source, full));
+  if (lookup.enabled()) {
+    lookup.AddAttr("source", source.name);
+    lookup.AddAttr("hit", hit ? "true" : "false");
+  }
+  if (hit) {
+    // Stats describe the work done *for this call*: a hit does no rule
+    // matching, so the computation counters reset and only the hit shows.
+    hit->stats = TranslationStats{};
+    hit->stats.cache_hits = 1;
+  }
+  return hit;
+}
+
+Result<Translation> TranslationService::TranslateMiss(
     const SourceEntry& source, const Query& full, Trace* trace,
     uint64_t parent_span, MatchMemo* memo, const CancelToken* cancel,
     ResilienceManager::CallReport* report) const {
@@ -373,23 +395,7 @@ Result<Translation> TranslationService::TranslateOne(
     return result;
   };
   if (!options_.enable_cache) return guarded();
-  const TranslationCacheKey key{source.cache_key_prefix, source.rule_set_fp,
-                                full.fingerprint()};
-  {
-    // A hit never reaches the source, so the resilience guards — and any
-    // injected faults — do not apply: the cache is itself a degradation
-    // buffer (a source can be down and its cached translations still serve).
-    Span lookup(trace, "cache.lookup", parent_span);
-    if (std::optional<Translation> hit = cache_.Get(key)) {
-      if (lookup.enabled()) lookup.AddAttr("hit", "true");
-      // Stats describe the work done *for this call*: a hit does no rule
-      // matching, so the computation counters reset and only the hit shows.
-      hit->stats = TranslationStats{};
-      hit->stats.cache_hits = 1;
-      return *std::move(hit);
-    }
-    if (lookup.enabled()) lookup.AddAttr("hit", "false");
-  }
+  const TranslationCacheKey key = CacheKey(source, full);
   if (store_ != nullptr) {
     // RAM miss: fall through to the persistent tier. A disk hit is promoted
     // into the RAM cache so the next lookup stops there.
@@ -400,7 +406,7 @@ Result<Translation> TranslationService::TranslateOne(
       Translation hit = *std::move(*stored);
       hit.stats = TranslationStats{};
       hit.stats.store_hits = 1;
-      cache_.Put(key, hit);
+      hit.stats.cache_evictions = cache_.Put(key, hit) ? 1 : 0;
       return hit;
     }
     if (lookup.enabled()) lookup.AddAttr("hit", "false");
@@ -419,8 +425,9 @@ Result<Translation> TranslationService::TranslateOne(
     // wide one — and a store record outlives the process, so persisting a
     // widened mapping would poison every future boot (docs/ROBUSTNESS.md).
     Span insert(trace, "cache.insert", parent_span);
-    cache_.Put(key, *translation);
+    const bool evicted = cache_.Put(key, *translation);
     if (store_ != nullptr) store_->Put(key, *translation).ok();
+    translation->stats.cache_evictions += evicted ? 1 : 0;
   }
   translation->stats.cache_misses = 1;
   return translation;
@@ -436,39 +443,58 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   if (root.detail()) root.AddAttr("query", ToParseableText(full));
   const uint64_t root_id = root.id();
   const size_t n = sources_.size();
-  const uint64_t evictions_before =
-      options_.enable_cache ? cache_.stats().evictions : 0;
   std::vector<std::optional<Result<Translation>>> outcomes(n);
   std::vector<ResilienceManager::CallReport> reports(n);
-  if (pool_ != nullptr && n > 1) {
-    parallel_tasks_.fetch_add(n, std::memory_order_relaxed);
+  // Cache-first: each S_i(Q) depends only on Q and source i's rules, so the
+  // RAM cache answers a repeated query outright. Probe every source here on
+  // the calling thread; only the misses go on to be translated.
+  size_t misses = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::optional<Translation> hit =
+            LookupCached(sources_[i], full, trace, root_id)) {
+      outcomes[i].emplace(*std::move(hit));
+    } else {
+      ++misses;
+    }
+  }
+  // One miss, end to end. `submit_ns` is the pool submit time, or -1 when
+  // the miss runs inline on the calling thread.
+  const auto translate_miss = [&](size_t i, int64_t submit_ns) {
+    const int64_t start_ns =
+        trace != nullptr && submit_ns >= 0 ? trace->NowNs() : 0;
+    Span source_span(trace, "source.translate", root_id);
+    if (source_span.enabled()) {
+      source_span.AddAttr("source", sources_[i].name);
+      if (submit_ns >= 0) {
+        trace->AddCompleteSpan("pool.wait", root_id, submit_ns, start_ns);
+      }
+    }
+    Result<Translation> translation = TranslateMiss(
+        sources_[i], full, trace, source_span.id(),
+        memos.empty() ? nullptr : memos[i].get(), cancel, &reports[i]);
+    if (translation.ok()) {
+      if (submit_ns >= 0) {
+        translation->stats.queue_wait_ns +=
+            static_cast<uint64_t>(start_ns - submit_ns);
+      }
+      source_span.SetStats(translation->stats);
+    }
+    outcomes[i].emplace(std::move(translation));
+  };
+  const bool fan_out = pool_ != nullptr && misses > 1;
+  if (fan_out) {
+    parallel_tasks_.fetch_add(misses, std::memory_order_relaxed);
     // Covers the whole fan-out window on the calling thread: submits, the
     // workers' overlapping spans, and the latch wake-up latency.
     Span fanout_span(trace, "fanout.wait", root_id);
-    std::latch done(static_cast<ptrdiff_t>(n));
+    std::latch done(static_cast<ptrdiff_t>(misses));
     for (size_t i = 0; i < n; ++i) {
+      if (outcomes[i].has_value()) continue;
       const int64_t submit_ns = trace != nullptr ? trace->NowNs() : 0;
-      pool_->Submit([this, &full, &outcomes, &reports, &done, trace, &memos,
-                     root_id, submit_ns, cancel, i] {
-        const int64_t start_ns = trace != nullptr ? trace->NowNs() : 0;
-        Span source_span(trace, "source.translate", root_id);
-        if (source_span.enabled()) {
-          source_span.AddAttr("source", sources_[i].name);
-          trace->AddCompleteSpan("pool.wait", root_id, submit_ns, start_ns);
-        }
-        Result<Translation> translation = TranslateOne(
-            sources_[i], full, trace, source_span.id(),
-            memos.empty() ? nullptr : memos[i].get(), cancel, &reports[i]);
-        if (translation.ok()) {
-          translation->stats.queue_wait_ns +=
-              static_cast<uint64_t>(start_ns - submit_ns);
-          source_span.SetStats(translation->stats);
-        }
-        outcomes[i].emplace(std::move(translation));
-        // End the span before releasing the latch: count_down() lets the
-        // calling thread return and destroy the trace, so nothing in this
-        // task may touch it afterwards (the Span destructor would).
-        source_span.End();
+      pool_->Submit([&translate_miss, &done, i, submit_ns] {
+        // translate_miss ends its spans before returning, and must: once
+        // count_down() lets the calling thread return, the trace is gone.
+        translate_miss(i, submit_ns);
         done.count_down();
       });
     }
@@ -478,16 +504,10 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
     // Expiry makes the workers *finish fast* (the guard checks the token
     // before each attempt), never makes the caller leave early.
     done.wait();
-  } else {
-    inline_tasks_.fetch_add(n, std::memory_order_relaxed);
+  } else if (misses > 0) {
+    inline_tasks_.fetch_add(misses, std::memory_order_relaxed);
     for (size_t i = 0; i < n; ++i) {
-      Span source_span(trace, "source.translate", root_id);
-      if (source_span.enabled()) source_span.AddAttr("source", sources_[i].name);
-      Result<Translation> translation = TranslateOne(
-          sources_[i], full, trace, source_span.id(),
-          memos.empty() ? nullptr : memos[i].get(), cancel, &reports[i]);
-      if (translation.ok()) source_span.SetStats(translation->stats);
-      outcomes[i].emplace(std::move(translation));
+      if (!outcomes[i].has_value()) translate_miss(i, -1);
     }
   }
 
@@ -540,12 +560,7 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
     resilience_->RecordPartialResult(out.partial.failed.size());
     if (root.enabled()) root.AddAttr("partial", out.partial.ToString());
   }
-  if (pool_ != nullptr && n > 1) out.stats.parallel_tasks += n;
-  if (options_.enable_cache) {
-    // Approximate under concurrent Translate calls: evictions are counted
-    // against whichever call observes them.
-    out.stats.cache_evictions += cache_.stats().evictions - evictions_before;
-  }
+  if (fan_out) out.stats.parallel_tasks += misses;
   join_span.End();
   {
     Span filter_span(trace, "filter", root_id);
@@ -690,8 +705,9 @@ Result<MediatorTranslation> TranslationService::Translate(const Query& query,
   WarmUpFromStoreOnce();
   Query full = query & view_constraints_;
   CancelToken token;
-  return TranslateObserved(full, trace, MakeMemoScope(),
-                           MakeRequestToken(&token));
+  // No memo scope: each source translates this query at most once, so the
+  // Translator's own per-call memo serves it exactly as well.
+  return TranslateObserved(full, trace, /*memos=*/{}, MakeRequestToken(&token));
 }
 
 Result<Translation> TranslationService::TranslateSource(
@@ -706,6 +722,10 @@ Result<Translation> TranslationService::TranslateSource(
   }
   if (entry == nullptr) {
     return Status::NotFound("unknown source: " + std::string(name));
+  }
+  if (std::optional<Translation> hit =
+          LookupCached(*entry, full, /*trace=*/nullptr, /*parent_span=*/0)) {
+    return *std::move(hit);
   }
   // The caller's remaining budget narrows the service's own request
   // deadline (if any) — budget propagation across the wire works exactly
@@ -723,8 +743,8 @@ Result<Translation> TranslationService::TranslateSource(
   ResilienceManager::CallReport report;
   // No memo scope: a single-source call lets the Translator build its own
   // per-call memo, which is exactly as effective for one query.
-  return TranslateOne(*entry, full, /*trace=*/nullptr, /*parent_span=*/0,
-                      /*memo=*/nullptr, cancel, &report);
+  return TranslateMiss(*entry, full, /*trace=*/nullptr, /*parent_span=*/0,
+                       /*memo=*/nullptr, cancel, &report);
 }
 
 Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(

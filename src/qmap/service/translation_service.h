@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -146,8 +147,11 @@ struct ServiceStats {
   uint64_t batch_calls = 0;
   uint64_t batch_queries = 0;     // queries received across all batches
   uint64_t batch_duplicates = 0;  // batch queries answered by intra-batch dedup
-  uint64_t parallel_tasks = 0;    // per-source tasks dispatched to the pool
-  uint64_t inline_tasks = 0;      // per-source tasks run on the calling thread
+  // Per-source cache misses translated on the pool / on the calling thread.
+  // Cache hits are answered on the calling thread and count in neither; they
+  // show in cache.hits.
+  uint64_t parallel_tasks = 0;
+  uint64_t inline_tasks = 0;
   uint64_t slow_queries = 0;      // queries captured by the slow-query log
 };
 
@@ -339,16 +343,19 @@ class TranslationService {
   size_t num_sources() const { return sources_.size(); }
 
   /// Translates `query` for every source: Eq. 3's S_1(Q) ... S_n(Q) plus
-  /// the merged residue filter F. Per-source work runs on the pool when one
-  /// is configured; cached sources skip rule matching entirely. The returned
+  /// the merged residue filter F. Cache-first: every source's RAM-cache
+  /// probe runs on the calling thread, and only the misses are translated —
+  /// on the pool when one is configured and two or more sources missed,
+  /// inline otherwise. An all-hit call never touches the pool. The returned
   /// translation's `stats` aggregates per-source counters plus the service's
   /// cache/parallelism counters for this call.
   ///
   /// When `trace` is non-null the whole call is recorded into it: a
-  /// service.translate root span, one source.translate span per source
-  /// (with pool.wait spans when the fan-out runs on the pool), cache
-  /// lookups, and the full per-source algorithm spans underneath (tdqm,
-  /// psafe, ednf.safety, scm, disjunctivize — see docs/OBSERVABILITY.md).
+  /// service.translate root span with one cache.lookup span per source
+  /// under it, then, for each miss only, a source.translate span (with a
+  /// pool.wait span when the miss ran on the pool, inside one fanout.wait)
+  /// and the full per-source algorithm spans underneath (tdqm, psafe,
+  /// ednf.safety, scm, disjunctivize — see docs/OBSERVABILITY.md).
   /// Caveat: reusing one Trace across calls double-counts its spans in
   /// qmap_span_* metrics; pass a fresh Trace per call when metrics are on.
   Result<MediatorTranslation> Translate(const Query& query,
@@ -438,27 +445,47 @@ class TranslationService {
     uint64_t rule_set_fp = 0;
   };
 
-  /// Per-request match-memo scope: one thread-safe MatchMemo per source (in
-  /// sources_ order), built for that source's spec. Created per Translate
-  /// call and per TranslateBatch call (shared across the batch's unique
-  /// queries), so memoized matchings never outlive the request that made
-  /// them. Empty when options_.translator.use_match_memo is off — the
-  /// per-source Translator then falls back to its own per-call memo.
-  /// Remote sources (transport->spec() == nullptr) get a null slot: their
-  /// rule matching memoizes on the worker, not here.
+  /// Batch match-memo scope, for TranslateBatch only: one thread-safe
+  /// MatchMemo per source (in sources_ order), built for that source's spec
+  /// and shared across the batch's unique queries, so memoized matchings
+  /// never outlive the batch that made them. Translate builds none — it
+  /// translates each source at most once, which the per-source Translator's
+  /// own per-call memo already covers. Empty when
+  /// options_.translator.use_match_memo is off. Remote sources
+  /// (transport->spec() == nullptr) get a null slot: their rule matching
+  /// memoizes on the worker, not here.
   std::vector<std::unique_ptr<MatchMemo>> MakeMemoScope() const;
 
-  /// One per-source unit of work: cache lookup (typed fingerprint key),
-  /// else translate (under the resilience guards when enabled) and fill.
-  /// Degraded translations are never cached — a cached entry must be the
-  /// exact mapping, not a widened one. `cancel` and `report` may be null.
-  Result<Translation> TranslateOne(const SourceEntry& source, const Query& full,
-                                   Trace* trace, uint64_t parent_span,
-                                   MatchMemo* memo, const CancelToken* cancel,
-                                   ResilienceManager::CallReport* report) const;
+  /// The typed cache key of `full` for `source` (see TranslationCacheKey).
+  static TranslationCacheKey CacheKey(const SourceEntry& source,
+                                      const Query& full) {
+    return {source.cache_key_prefix, source.rule_set_fp, full.fingerprint()};
+  }
 
-  /// The fan-out + deterministic join for one full query (view constraints
-  /// already conjoined). `memos` is the request's memo scope (may be empty).
+  /// The RAM-cache probe, run on the calling thread: the cached translation
+  /// with stats reset to {cache_hits: 1}, or nullopt on a miss or with the
+  /// cache disabled. Records one cache.lookup span (attrs source, hit) under
+  /// `parent_span`. A hit never reaches the store tier, the resilience
+  /// guards, fault injection or the deadline check.
+  std::optional<Translation> LookupCached(const SourceEntry& source,
+                                          const Query& full, Trace* trace,
+                                          uint64_t parent_span) const;
+
+  /// Everything after a RAM miss: the store tier, else translate (under the
+  /// resilience guards when enabled) and fill both tiers. Degraded
+  /// translations are never cached — a cached entry must be the exact
+  /// mapping, not a widened one. An eviction caused by this source's RAM
+  /// fill shows in the result's stats.cache_evictions. `memo`, `cancel` and
+  /// `report` may be null.
+  Result<Translation> TranslateMiss(
+      const SourceEntry& source, const Query& full, Trace* trace,
+      uint64_t parent_span, MatchMemo* memo, const CancelToken* cancel,
+      ResilienceManager::CallReport* report) const;
+
+  /// The cache-first fan-out + deterministic join for one full query (view
+  /// constraints already conjoined): every source's RAM probe runs on the
+  /// calling thread, then two or more misses go to the pool and a single
+  /// miss runs inline. `memos` is the batch memo scope (empty for Translate).
   ///
   /// Cancellation/lifetime contract: workers write into stack-allocated
   /// per-request state, so this function ALWAYS waits for every dispatched

@@ -80,7 +80,7 @@ bool PayloadReader::ReadStr(std::string_view* out) {
 void EncodeTranslationBody(std::string* out, const Translation& value) {
   PutStr(out, ToParseableText(value.mapped));
   PutStr(out, ToParseableText(value.filter));
-  const auto entries = value.coverage.Entries();
+  const auto& entries = value.coverage.Entries();
   PutU32(out, static_cast<uint32_t>(entries.size()));
   for (const auto& [fp, exact] : entries) {
     PutU64(out, fp);

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "test_util.h"
 
 namespace qmap {
@@ -30,6 +37,86 @@ TEST(ExactCoverage, MergeAnySourceIsOr) {
   t2.Record(c, true);   // T2 handles it exactly
   t1.MergeAnySource(t2);
   EXPECT_TRUE(t1.IsExact(c));
+}
+
+TEST(ExactCoverage, MatchesAMapModelUnderRandomOperations) {
+  // 96 distinct constraints: their fingerprints scatter over the key space,
+  // so inserts land at the front, middle and back of the sorted entries.
+  std::vector<Constraint> pool;
+  for (int i = 0; i < 96; ++i) {
+    pool.push_back(
+        C("[a" + std::to_string(i % 7) + " = " + std::to_string(i) + "]"));
+  }
+  using Model = std::map<uint64_t, bool>;
+  const auto check = [&pool](const ExactCoverage& coverage, const Model& model,
+                             uint32_t seed) {
+    for (const Constraint& c : pool) {
+      auto it = model.find(c.Fingerprint());
+      EXPECT_EQ(coverage.IsExact(c), it != model.end() && it->second)
+          << "seed " << seed << ", " << c.ToString();
+    }
+    const std::vector<std::pair<uint64_t, bool>>& entries = coverage.Entries();
+    const std::vector<std::pair<uint64_t, bool>> want(model.begin(),
+                                                      model.end());
+    EXPECT_EQ(entries, want) << "seed " << seed;
+    for (size_t i = 1; i < entries.size(); ++i) {
+      EXPECT_LT(entries[i - 1].first, entries[i].first) << "seed " << seed;
+    }
+  };
+  // Fingerprints at both ends of the key space, reachable only through
+  // RestoreEntry.
+  const uint64_t edges[] = {0, 1, UINT64_MAX - 1, UINT64_MAX};
+  // One random Record/RestoreEntry sequence over a random subset of `pool`
+  // and `edges`, mirrored into the model with Record's AND-accumulation.
+  const auto fill = [&pool, &edges](std::mt19937& rng, ExactCoverage* coverage,
+                                    Model* model) {
+    const int ops = static_cast<int>(rng() % 160);
+    for (int op = 0; op < ops; ++op) {
+      const bool exact = rng() % 3 != 0;
+      uint64_t fingerprint = 0;
+      switch (rng() % 5) {
+        case 0:
+          fingerprint = edges[rng() % 4];
+          coverage->RestoreEntry(fingerprint, exact);
+          break;
+        case 1:
+        case 2: {
+          const Constraint& c = pool[rng() % pool.size()];
+          fingerprint = c.Fingerprint();
+          coverage->RestoreEntry(fingerprint, exact);
+          break;
+        }
+        default: {
+          const Constraint& c = pool[rng() % pool.size()];
+          fingerprint = c.Fingerprint();
+          coverage->Record(c, exact);
+          break;
+        }
+      }
+      auto [it, inserted] = model->emplace(fingerprint, exact);
+      if (!inserted) it->second = it->second && exact;
+    }
+  };
+  for (uint32_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937 rng(seed);
+    ExactCoverage a;
+    ExactCoverage b;
+    Model model_a;
+    Model model_b;
+    fill(rng, &a, &model_a);
+    fill(rng, &b, &model_b);
+    check(a, model_a, seed);
+    check(b, model_b, seed);
+    a.MergeAnySource(b);
+    for (const auto& [fingerprint, exact] : model_b) {
+      auto [it, inserted] = model_a.emplace(fingerprint, exact);
+      if (!inserted) it->second = it->second || exact;
+    }
+    check(a, model_a, seed);
+    // Copies carry the same entries (the cached-Translation path).
+    ExactCoverage copy = a;
+    check(copy, model_a, seed);
+  }
 }
 
 TEST(ResidueFilter, DropsExactLeaves) {

@@ -506,6 +506,48 @@ TEST(ResilientService, DegradedTranslationIsNeverCached) {
   EXPECT_EQ(Render(*healthy), Render(*want));
 }
 
+TEST(ResilientService, CacheKeepsServingWhileEverySourceIsDown) {
+  // A RAM-cache hit never reaches its source, so the cache is itself a
+  // degradation buffer: with every source failing every attempt, a warmed
+  // query still comes back complete without touching the resilience guards.
+  Query q = Q("[a0 = 1] and ([a1 = 2] or [a2 = 3])");
+  FaultInjector injector(7);
+  ManualClock clock;
+  ResilienceOptions resilience;
+  resilience.retry.max_attempts = 3;
+  auto service = MakeResilientService(&injector, &clock, resilience,
+                                      /*num_threads=*/4, /*enable_cache=*/true);
+  Result<MediatorTranslation> warm = service->Translate(q);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->partial.complete());
+
+  for (int m = 0; m < kNumSources; ++m) {
+    injector.FailNext("S" + std::to_string(m), 1000);
+  }
+  const ServiceStatus before = service->StatusSnapshot();
+  Result<MediatorTranslation> cached = service->Translate(q);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_TRUE(cached->partial.complete());
+  EXPECT_EQ(Render(*cached), Render(*warm));
+  EXPECT_EQ(cached->stats.cache_hits, static_cast<uint64_t>(kNumSources));
+  EXPECT_EQ(cached->stats.retries, 0u);
+  EXPECT_EQ(injector.faults_injected(), 0u);
+  const ServiceStatus after = service->StatusSnapshot();
+  ASSERT_EQ(after.sources.size(), before.sources.size());
+  for (size_t i = 0; i < after.sources.size(); ++i) {
+    EXPECT_EQ(after.sources[i].calls, before.sources[i].calls)
+        << after.sources[i].name;
+    EXPECT_EQ(after.sources[i].retries, 0u) << after.sources[i].name;
+  }
+  EXPECT_EQ(service->resilience()->counters().retries, 0u);
+
+  // The sources really are down: a query the cache has not seen fails.
+  Result<MediatorTranslation> novel = service->Translate(Q("[a0 = 2]"));
+  ASSERT_FALSE(novel.ok());
+  EXPECT_EQ(novel.status().code(), StatusCode::kUnavailable);
+  EXPECT_GT(injector.faults_injected(), 0u);
+}
+
 TEST(ResilientService, PartialResultsAreCapturedInTheSlowQueryLog) {
   FaultInjector injector(7);
   injector.FailNext("S2", 1000);

@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <latch>
 #include <random>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "qmap/contexts/faculty.h"
 #include "qmap/contexts/synthetic.h"
 #include "qmap/expr/printer.h"
 #include "qmap/obs/metrics.h"
+#include "qmap/obs/trace.h"
 #include "qmap/service/thread_pool.h"
 #include "qmap/service/translation_cache.h"
 #include "test_util.h"
@@ -339,6 +343,172 @@ TEST(TranslationService, ViewConstraintsFlowIntoEverySource) {
   Result<MediatorTranslation> b = service.Translate(q);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(Render(*a), Render(*b));
+}
+
+// ---------------------------------------------------------------------------
+// Cache-first contract: RAM-cache probes run on the calling thread and only
+// misses are translated — two or more on the pool, a single one inline.
+
+// The serial reference for SyntheticFederation(): Mediator::Translate.
+Mediator SyntheticMediator() {
+  Mediator mediator;
+  for (auto& [name, spec] : SyntheticFederation()) {
+    mediator.AddSource(SourceContext(name, spec));
+  }
+  return mediator;
+}
+
+// TestQueries(count) without structural repeats, so every first Translate of
+// one of them misses every source.
+std::vector<Query> DistinctTestQueries(int count) {
+  std::vector<Query> out;
+  std::unordered_set<uint64_t> seen;
+  for (const Query& q : TestQueries(count)) {
+    if (seen.insert(q.fingerprint()).second) out.push_back(q);
+  }
+  return out;
+}
+
+TEST(TranslationService, AllHitRequestNeverTouchesThePool) {
+  MetricsRegistry registry;
+  ServiceOptions options;
+  options.num_threads = 4;
+  options.obs.metrics = &registry;
+  TranslationService service(options);
+  for (auto& [name, spec] : SyntheticFederation()) {
+    service.AddSource(name, spec);
+  }
+  const Mediator mediator = SyntheticMediator();
+  const std::vector<Query> queries = DistinctTestQueries(8);
+  for (const Query& q : queries) ASSERT_TRUE(service.Translate(q).ok());
+  // A pool task records its qmap_pool_run_us sample after releasing the
+  // caller, so let the warm-up's samples land before taking the baseline.
+  const Histogram& pool_runs = registry.histogram("qmap_pool_run_us");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool_runs.count() < service.stats().parallel_tasks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(pool_runs.count(), queries.size() * service.num_sources());
+
+  const ServiceStats before = service.stats();
+  for (const Query& q : queries) {
+    Result<MediatorTranslation> hit = service.Translate(q);
+    Result<MediatorTranslation> want = mediator.Translate(q);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(Render(*hit), Render(*want)) << "query: " << q.ToString();
+    EXPECT_EQ(hit->stats.cache_hits, service.num_sources());
+    EXPECT_EQ(hit->stats.parallel_tasks, 0u);
+  }
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.parallel_tasks, before.parallel_tasks);
+  EXPECT_EQ(after.inline_tasks, before.inline_tasks);
+  EXPECT_EQ(pool_runs.count(), queries.size() * service.num_sources());
+}
+
+TEST(TranslationService, WarmSourcesLeaveOnlyTheMissesToTranslate) {
+  // Sources warmed through TranslateSource are answered from the cache; of
+  // the rest, two or more go to the pool and a lone miss runs inline.
+  const Mediator mediator = SyntheticMediator();
+  const std::vector<std::vector<std::string>> warm_sets = {
+      {"S2"}, {"S0", "S1", "S3"}};
+  for (const std::vector<std::string>& warm : warm_sets) {
+    auto service = MakeService(/*num_threads=*/4, /*enable_cache=*/true);
+    const uint64_t misses = service->num_sources() - warm.size();
+    const uint64_t pooled = misses > 1 ? misses : 0;
+    for (const Query& q : DistinctTestQueries(8)) {
+      // No view constraints, so `q` is already the full query
+      // TranslateSource expects.
+      for (const std::string& name : warm) {
+        ASSERT_TRUE(service->TranslateSource(name, q).ok());
+      }
+      const ServiceStats before = service->stats();
+      Result<MediatorTranslation> got = service->Translate(q);
+      Result<MediatorTranslation> want = mediator.Translate(q);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      const ServiceStats after = service->stats();
+      EXPECT_EQ(after.parallel_tasks - before.parallel_tasks, pooled);
+      EXPECT_EQ(after.inline_tasks - before.inline_tasks, misses - pooled);
+      EXPECT_EQ(got->stats.parallel_tasks, pooled);
+      EXPECT_EQ(got->stats.cache_hits, warm.size());
+      EXPECT_EQ(got->stats.cache_misses, misses);
+      EXPECT_EQ(Render(*got), Render(*want)) << "query: " << q.ToString();
+    }
+  }
+}
+
+TEST(TranslationService, TracedAllHitRequestRecordsOnlyCacheLookups) {
+  auto service = MakeService(/*num_threads=*/4, /*enable_cache=*/true);
+  const Query q = TestQueries(1).front();
+  ASSERT_TRUE(service->Translate(q).ok());
+  Trace trace("all-hit");
+  ASSERT_TRUE(service->Translate(q, &trace).ok());
+  const std::vector<SpanRecord> spans = trace.spans();
+  ASSERT_FALSE(spans.empty());
+  ASSERT_EQ(spans[0].name, "service.translate");
+  std::vector<std::string> looked_up;
+  for (const SpanRecord& span : spans) {
+    EXPECT_NE(span.name, "pool.wait");
+    EXPECT_NE(span.name, "fanout.wait");
+    EXPECT_NE(span.name, "source.translate");
+    if (span.name != "cache.lookup") continue;
+    EXPECT_EQ(span.parent, spans[0].id);
+    std::string source;
+    std::string hit;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "source") source = value;
+      if (key == "hit") hit = value;
+    }
+    EXPECT_EQ(hit, "true") << source;
+    looked_up.push_back(source);
+  }
+  EXPECT_EQ(looked_up, (std::vector<std::string>{"S0", "S1", "S2", "S3"}));
+}
+
+TEST(TranslationService, EvictionsAreCountedExactlyPerRequest) {
+  // A cache far smaller than the working set, so most fills evict. Each
+  // response counts only the evictions its own fills caused, so concurrent
+  // requests never see one another's.
+  auto service = MakeService(/*num_threads=*/4, /*enable_cache=*/true,
+                             /*cache_capacity=*/8);
+  constexpr int kThreads = 4;
+  constexpr int kQueriesPerThread = 24;
+  std::vector<std::vector<Query>> queries(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kQueriesPerThread; ++k) {
+      // Distinct across threads and calls: every request is novel.
+      queries[t].push_back(Q("[a0 = " + std::to_string(t * 1000 + k) +
+                             "] and ([a1 = 2] or [a2 = 3])"));
+    }
+  }
+  const uint64_t evictions_before = service->stats().cache.evictions;
+  std::vector<std::vector<TranslationStats>> stats(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (const Query& q : queries[t]) {
+        Result<MediatorTranslation> got = service->Translate(q);
+        if (got.ok()) stats[t].push_back(got->stats);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  uint64_t reported = 0;
+  for (const std::vector<TranslationStats>& per_thread : stats) {
+    ASSERT_EQ(per_thread.size(), static_cast<size_t>(kQueriesPerThread));
+    for (const TranslationStats& s : per_thread) {
+      EXPECT_LE(s.cache_evictions, s.cache_misses);
+      reported += s.cache_evictions;
+    }
+  }
+  EXPECT_EQ(reported, service->stats().cache.evictions - evictions_before);
+  EXPECT_GT(reported, 0u);
 }
 
 TEST(TranslationService, EmptyBatchIsOk) {
