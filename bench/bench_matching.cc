@@ -88,7 +88,7 @@ void MatchVsP_Distinct(benchmark::State& state) {
   qmap::MatchCounters counters;
   for (auto _ : state) {
     std::vector<qmap::Matching> matchings =
-        MatchSpecIndexed(*spec, conjunction, &counters);
+        MatchSpec(*spec, conjunction, &counters);
     benchmark::DoNotOptimize(matchings);
   }
   state.counters["P"] = p;
@@ -109,7 +109,7 @@ void MatchVsP_Ambiguous(benchmark::State& state) {
   qmap::MatchCounters counters;
   for (auto _ : state) {
     std::vector<qmap::Matching> matchings =
-        MatchSpecIndexed(*spec, conjunction, &counters);
+        MatchSpec(*spec, conjunction, &counters);
     benchmark::DoNotOptimize(matchings);
   }
   state.counters["P"] = p;
@@ -123,20 +123,17 @@ BENCHMARK(MatchVsP_Ambiguous)->DenseRange(1, 4, 1);
 
 // B1c — wide-spec matching: R rules over a shared "hot" attribute plus
 // distinct per-rule attributes plus a wildcard rule, against a fixed
-// 16-constraint conjunction. Three engines over the same spec/conjunction:
+// 16-constraint conjunction. Both engines over the same spec/conjunction:
 //   naive     sweeps all N constraints for every head slot of every rule
 //             (cost ~ R·N);
-//   indexed   walks only the (attribute, op) bucket per slot and skips rules
-//             with an empty bucket outright, but still re-runs the
-//             interpreter per rule and allocates per-rule contexts, dedup
-//             maps and std::map binding nodes on every call;
 //   compiled  runs the discrimination DAG (qmap/rules/compiled_matcher.h):
-//             shared head-pattern prefixes tested once per conjunction,
+//             (attribute, op) candidate buckets per head slot, shared
+//             head-pattern prefixes tested once per conjunction,
 //             empty-bucket edges skipping whole rule subtrees in O(1), and —
 //             with a reused scratch — zero allocations in steady state.
 // All series run from the same binary into one JSON, so a single
-// BENCH_bench_matching.json records the naive/indexed/compiled timing
-// ratios (the ≥10× compiled-vs-indexed acceptance number at R=64), the
+// BENCH_bench_matching.json records the naive/compiled timing ratio (CI
+// gates MatchWide_Compiled/64 at ≤ 0.045× MatchWide_Naive/64), the
 // attempts/iter counters, and allocs_per_iter, which
 // bench/check_bench_regression.py pins (compiled raw path: ≤ 2).
 
@@ -204,37 +201,6 @@ void MatchWide_Naive(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(MatchWide_Naive)->RangeMultiplier(8)->Range(8, 256);
-
-void MatchWide_Indexed(benchmark::State& state) {
-  int r = static_cast<int>(state.range(0));
-  qmap::Result<qmap::MappingSpec> spec = WideSpec(r);
-  if (!spec.ok()) {
-    state.SkipWithError(spec.status().ToString().c_str());
-    return;
-  }
-  std::vector<Constraint> conjunction = WideConjunction();
-  qmap::MatchCounters counters;
-  uint64_t allocs_before = qmap_bench::AllocCount();
-  for (auto _ : state) {
-    std::vector<qmap::Matching> matchings =
-        MatchSpecIndexed(*spec, conjunction, &counters);
-    benchmark::DoNotOptimize(matchings);
-  }
-  state.counters["R"] = r;
-  state.counters["attempts/iter"] = benchmark::Counter(
-      static_cast<double>(counters.pattern_attempts),
-      benchmark::Counter::kAvgIterations);
-  state.counters["saved/iter"] = benchmark::Counter(
-      static_cast<double>(counters.pattern_attempts_saved),
-      benchmark::Counter::kAvgIterations);
-  state.counters["index_hits/iter"] = benchmark::Counter(
-      static_cast<double>(counters.index_hits),
-      benchmark::Counter::kAvgIterations);
-  state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(qmap_bench::AllocCount() - allocs_before),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(MatchWide_Indexed)->RangeMultiplier(8)->Range(8, 256);
 
 // The raw compiled engine: plan prebuilt, scratch reused across iterations
 // (exactly how MatchSpecCompiled's thread-local scratch behaves in steady
@@ -323,41 +289,13 @@ BENCHMARK(CompilePlan)->RangeMultiplier(8)->Range(8, 256);
 
 }  // namespace
 
-// B1d — memo key schemes: what one MatchMemo probe costs under the legacy
-// string key (render every constraint, concatenate, hash the bytes) versus
-// the fingerprint key (fold precomputed 64-bit constraint fingerprints —
-// MatchMemo::KeyOf). Both series build the key for an N-constraint
-// conjunction and probe a warm table with it; key_bytes/iter records how
-// many bytes each scheme materializes per probe (N·|rendered constraint| vs
-// a constant 8).
+// B1d — memo key cost: what one MatchMemo probe costs under the fingerprint
+// key (fold precomputed 64-bit constraint fingerprints — MatchMemo::KeyOf).
+// The series builds the key for an N-constraint conjunction and probes a
+// warm table with it; key_bytes/iter records the bytes materialized per
+// probe (a constant 8).
 
 namespace {
-
-void MemoProbe_StringKey(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  std::vector<Constraint> conjunction = Conjunction(n);
-  auto render_key = [](const std::vector<Constraint>& cs) {
-    std::string key;
-    for (const Constraint& c : cs) {
-      key += c.ToString();
-      key += '\x1f';
-    }
-    return key;
-  };
-  std::unordered_map<std::string, int> memo;
-  memo.emplace(render_key(conjunction), 1);
-  uint64_t key_bytes = 0;
-  for (auto _ : state) {
-    std::string key = render_key(conjunction);
-    key_bytes += key.size();
-    auto it = memo.find(key);
-    benchmark::DoNotOptimize(it);
-  }
-  state.counters["N"] = n;
-  state.counters["key_bytes/iter"] = benchmark::Counter(
-      static_cast<double>(key_bytes), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(MemoProbe_StringKey)->RangeMultiplier(2)->Range(4, 16);
 
 void MemoProbe_FingerprintKey(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

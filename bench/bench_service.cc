@@ -171,38 +171,11 @@ void ServiceBatchCached(benchmark::State& state) {
 }
 BENCHMARK(ServiceBatchCached);
 
-// B9b — cache key schemes: the cost of one warm TranslationCache probe under
-// the legacy string key (render the query with ToParseableText, concatenate
-// with the source prefix, hash the bytes) versus the typed fingerprint key
-// ({context-fp, Query::fingerprint()} — what TranslationService now builds).
-// key_bytes/iter records the bytes each scheme materializes per probe: the
-// whole rendered query for strings, a constant 16 for the typed key.
-
-void CacheProbe_StringKey(benchmark::State& state) {
-  qmap::TranslationCache cache(qmap::TranslationCacheOptions{});
-  std::vector<qmap::Query> workload = Workload();
-  auto render_key = [](int source, const qmap::Query& q) {
-    return "S" + std::to_string(source) + "\x1f" + qmap::ToParseableText(q);
-  };
-  for (int s = 0; s < kSources; ++s) {
-    for (const qmap::Query& q : workload) {
-      cache.Put(render_key(s, q), qmap::Translation{});
-    }
-  }
-  uint64_t key_bytes = 0;
-  size_t next = 0;
-  for (auto _ : state) {
-    const qmap::Query& q = workload[next % workload.size()];
-    std::string key = render_key(static_cast<int>(next % kSources), q);
-    key_bytes += key.size();
-    auto hit = cache.Get(key);
-    benchmark::DoNotOptimize(hit);
-    ++next;
-  }
-  state.counters["key_bytes/iter"] = benchmark::Counter(
-      static_cast<double>(key_bytes), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(CacheProbe_StringKey);
+// B9b — cache key cost: one warm TranslationCache probe under the typed
+// fingerprint key ({context-fp, Query::fingerprint()} — what
+// TranslationService builds). key_bytes/iter records the bytes materialized
+// per probe: a constant sizeof(TranslationCacheKey), with no query
+// rendering.
 
 void CacheProbe_FingerprintKey(benchmark::State& state) {
   qmap::TranslationCache cache(qmap::TranslationCacheOptions{});

@@ -23,7 +23,7 @@ enum class Op {
   kDuring,      // partial-date containment ("pdate during May/97")
 };
 
-/// Number of Op enumerators — sized for flat per-op tables (rule index).
+/// Number of Op enumerators — sized for flat per-op tables (compiled plan).
 inline constexpr int kNumOps = 8;
 
 /// Canonical spelling of an operator, e.g. "=", "contains".

@@ -14,7 +14,7 @@ class MetricsRegistry;
 /// process-wide table: one shared node per distinct subtree, so pointer
 /// equality coincides with structural equality and every node carries a
 /// precomputed 64-bit fingerprint. The tables live for the process lifetime
-/// (like AttrNameTable) and are never evicted; entries are verified exactly
+/// and are never evicted; entries are verified exactly
 /// on fingerprint-bucket hits, so interning itself is collision-proof.
 ///
 /// Set the QMAP_DISABLE_INTERN environment variable (any value, checked once

@@ -52,7 +52,7 @@ namespace {
 // Process-wide hash-cons tables (DESIGN.md §9). Both tables bucket by 64-bit
 // fingerprint and verify bucket candidates exactly, so interning never
 // conflates distinct structures even under a fingerprint collision. Entries
-// are retained for the process lifetime (leaky static, like AttrNameTable);
+// are retained for the process lifetime (leaky static);
 // there is no eviction, which is what makes the canonical-pointer guarantee
 // sound without generation counters.
 class InternTables {

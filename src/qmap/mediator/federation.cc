@@ -1,6 +1,7 @@
 #include "qmap/mediator/federation.h"
 
-#include <algorithm>
+#include "qmap/mediator/mediator.h"
+#include "qmap/obs/trace.h"
 
 namespace qmap {
 
@@ -14,16 +15,10 @@ void FederatedCatalog::SetResilience(const ResilienceOptions& options,
 
 Result<FederatedCatalog::FederatedResult> FederatedCatalog::Query(
     const qmap::Query& query) const {
-  FederatedResult out;
   CancelToken token;
-  const CancelToken* cancel = nullptr;
-  if (resilience_ != nullptr &&
-      resilience_->options().request_deadline_us > 0) {
-    token.budget = DeadlineBudget{}.Narrowed(
-        resilience_->clock()->NowUs(),
-        resilience_->options().request_deadline_us);
-    cancel = &token;
-  }
+  const CancelToken* cancel =
+      resilience_ != nullptr ? resilience_->MakeRequestToken(&token) : nullptr;
+  PartialResultGather gather(resilience_.get(), members_.size());
   for (const Member& member : members_) {
     ResilienceManager::CallReport report;
     const auto attempt = [&] {
@@ -36,53 +31,46 @@ Result<FederatedCatalog::FederatedResult> FederatedCatalog::Query(
             ? resilience_->GuardedTranslate(member.name, query, cancel, attempt,
                                             &report)
             : attempt();
-    Status member_status = translation.status();
     // The data-conversion direction is a source call too: a fault scripted
     // under "<member>.convert" drops the member even though its translation
     // succeeded (e.g. a conversion service being down).
-    if (member_status.ok() && resilience_ != nullptr &&
+    if (translation.ok() && resilience_ != nullptr &&
         resilience_->injector() != nullptr) {
       Fault fault = resilience_->injector()->Next(member.name + ".convert");
       if (fault.kind == FaultKind::kFail) {
-        member_status = fault.status.ok()
-                            ? Status::Unavailable("injected conversion fault")
-                            : fault.status;
+        translation = fault.status.ok()
+                          ? Status::Unavailable("injected conversion fault")
+                          : fault.status;
       }
     }
-    if (!member_status.ok()) {
-      if (resilience_ != nullptr && resilience_->options().allow_partial &&
-          IsSourceDropFailure(member_status.code())) {
-        out.partial.failed.push_back(
-            {member.name, member_status, report.attempts});
-        continue;
-      }
-      return member_status;
-    }
-    if (report.degraded) out.partial.degraded.push_back(member.name);
+    Status failure = gather.Add(member.name, std::move(translation), report);
+    if (!failure.ok()) return failure;
+  }
+  // Union integration has no mediator-side join, so each member is filtered
+  // by its own F_i; the gather's merged F goes unused here.
+  Span untraced;
+  Result<MediatorTranslation> gathered = gather.Finish(query, untraced);
+  if (!gathered.ok()) return gathered.status();
+  FederatedResult out;
+  out.partial = std::move(gathered->partial);
+  for (const Member& member : members_) {
+    auto it = gathered->per_source.find(member.name);
+    if (it == gathered->per_source.end()) continue;  // dropped
+    const Translation& translation = it->second;
     MemberResult result;
     result.name = member.name;
-    result.pushed = translation->mapped;
-    result.filter = translation->filter;
+    result.pushed = translation.mapped;
+    result.filter = translation.filter;
     TupleSet hits;
     for (const Tuple& tuple : member.data) {
-      if (EvalQuery(translation->mapped, member.convert(tuple), member.semantics)) {
+      if (EvalQuery(translation.mapped, member.convert(tuple), member.semantics)) {
         hits.push_back(tuple);
       }
     }
     result.raw_hits = hits.size();
-    result.tuples = Select(hits, translation->filter);
+    result.tuples = Select(hits, translation.filter);
     out.combined = Union(out.combined, result.tuples);
     out.per_member.push_back(std::move(result));
-  }
-  if (resilience_ != nullptr && !out.partial.failed.empty()) {
-    const size_t survivors = members_.size() - out.partial.failed.size();
-    if (survivors < std::max<size_t>(1, resilience_->options().min_sources)) {
-      return Status::Unavailable(
-          "only " + std::to_string(survivors) + " of " +
-          std::to_string(members_.size()) +
-          " members available: " + out.partial.ToString());
-    }
-    resilience_->RecordPartialResult(out.partial.failed.size());
   }
   return out;
 }

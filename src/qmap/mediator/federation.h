@@ -74,7 +74,10 @@ class FederatedCatalog {
   /// With resilience enabled (SetResilience), each member's translate runs
   /// under retry/breaker/deadline guards, and per-tuple data conversion is
   /// fault-injectable under the key "<member>.convert"; failing members are
-  /// dropped into `partial` instead of failing the query.
+  /// dropped into `partial` instead of failing the query. The drop and
+  /// min_sources decisions are PartialResultGather's (mediator.h), shared
+  /// with Mediator and TranslationService. Member names key the gathered
+  /// translations, so they must be distinct.
   Result<FederatedResult> Query(const qmap::Query& query) const;
 
   /// Enables graceful degradation for Query (see ResilienceOptions). Null

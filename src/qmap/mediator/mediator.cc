@@ -1,9 +1,64 @@
 #include "qmap/mediator/mediator.h"
 
+#include <algorithm>
+
+#include "qmap/core/filter.h"
 #include "qmap/obs/trace.h"
 #include "qmap/relalg/ops.h"
 
 namespace qmap {
+
+Status PartialResultGather::Add(const std::string& source,
+                                Result<Translation> translation,
+                                const ResilienceManager::CallReport& report) {
+  out_.stats.retries += report.retries;
+  out_.stats.deadline_hits += report.deadline_hit ? 1 : 0;
+  out_.stats.breaker_rejections += report.breaker_rejected ? 1 : 0;
+  if (!translation.ok()) {
+    // A dropped source's coverage never reaches coverages_, so F keeps every
+    // constraint only that source would have realized.
+    if (resilience_ != nullptr && resilience_->options().allow_partial &&
+        IsSourceDropFailure(translation.status().code())) {
+      out_.partial.failed.push_back(
+          {source, translation.status(), report.attempts});
+      out_.stats.failed_sources += 1;
+      return Status::Ok();
+    }
+    return translation.status();
+  }
+  if (report.degraded) {
+    out_.partial.degraded.push_back(source);
+    out_.stats.degraded_sources += 1;
+  }
+  out_.stats.MergeFrom(translation->stats);
+  auto [slot, inserted] =
+      out_.per_source.emplace(source, *std::move(translation));
+  if (inserted) coverages_.push_back(&slot->second.coverage);
+  return Status::Ok();
+}
+
+Result<MediatorTranslation> PartialResultGather::Finish(const Query& full,
+                                                        Span& root) {
+  // Only Add's drop branch fills partial.failed, and it requires resilience_.
+  if (!out_.partial.failed.empty()) {
+    const size_t survivors = num_sources_ - out_.partial.failed.size();
+    if (survivors < std::max<size_t>(1, resilience_->options().min_sources)) {
+      return Status::Unavailable(
+          "only " + std::to_string(survivors) + " of " +
+          std::to_string(num_sources_) +
+          " sources available: " + out_.partial.ToString());
+    }
+    resilience_->RecordPartialResult(out_.partial.failed.size());
+    if (root.enabled()) root.AddAttr("partial", out_.partial.ToString());
+  }
+  // A constraint stays in F unless some source covered it exactly; a
+  // disjunction stays unless one single source covers all its leaves.
+  {
+    Span filter_span(root.trace(), "filter", root.id());
+    out_.filter = MergedResidueFilter(full, coverages_);
+  }
+  return std::move(out_);
+}
 
 void Mediator::AddSource(SourceContext source) {
   sources_.push_back(std::move(source));
@@ -56,17 +111,10 @@ Result<MediatorTranslation> Mediator::Translate(const Query& query, Trace* trace
                                                 uint64_t parent_span) const {
   Span root(trace, "mediator.translate", parent_span);
   Query full = query & view_constraints_;
-  MediatorTranslation out;
-  std::vector<const ExactCoverage*> coverages;
   CancelToken token;
-  const CancelToken* cancel = nullptr;
-  if (resilience_ != nullptr &&
-      resilience_->options().request_deadline_us > 0) {
-    token.budget = DeadlineBudget{}.Narrowed(
-        resilience_->clock()->NowUs(),
-        resilience_->options().request_deadline_us);
-    cancel = &token;
-  }
+  const CancelToken* cancel =
+      resilience_ != nullptr ? resilience_->MakeRequestToken(&token) : nullptr;
+  PartialResultGather gather(resilience_.get(), sources_.size());
   for (const SourceContext& source : sources_) {
     Span source_span(trace, "source.translate", root.id());
     if (source_span.enabled()) source_span.AddAttr("source", source.name());
@@ -87,51 +135,12 @@ Result<MediatorTranslation> Mediator::Translate(const Query& query, Trace* trace
                                             attempt, &report, trace,
                                             source_span.id())
             : attempt();
-    out.stats.retries += report.retries;
-    out.stats.deadline_hits += report.deadline_hit ? 1 : 0;
-    out.stats.breaker_rejections += report.breaker_rejected ? 1 : 0;
-    if (!translation.ok()) {
-      // With partial tolerance on, a transiently failing source is dropped
-      // into the PartialResult instead of failing the whole translation;
-      // its exact coverage never reaches `coverages`, so F keeps every
-      // constraint only that source would have realized.
-      if (resilience_ != nullptr && resilience_->options().allow_partial &&
-          IsSourceDropFailure(translation.status().code())) {
-        out.partial.failed.push_back(
-            {source.name(), translation.status(), report.attempts});
-        out.stats.failed_sources += 1;
-        continue;
-      }
-      return translation.status();
-    }
-    if (report.degraded) {
-      out.partial.degraded.push_back(source.name());
-      out.stats.degraded_sources += 1;
-    }
-    source_span.SetStats(translation->stats);
-    out.stats.MergeFrom(translation->stats);
-    auto [slot, inserted] =
-        out.per_source.emplace(source.name(), *std::move(translation));
-    if (inserted) coverages.push_back(&slot->second.coverage);
+    if (translation.ok()) source_span.SetStats(translation->stats);
+    Status failure = gather.Add(source.name(), std::move(translation), report);
+    if (!failure.ok()) return failure;
   }
-  if (resilience_ != nullptr && !out.partial.failed.empty()) {
-    const size_t survivors = sources_.size() - out.partial.failed.size();
-    if (survivors < std::max<size_t>(1, resilience_->options().min_sources)) {
-      return Status::Unavailable(
-          "only " + std::to_string(survivors) + " of " +
-          std::to_string(sources_.size()) +
-          " sources available: " + out.partial.ToString());
-    }
-    resilience_->RecordPartialResult(out.partial.failed.size());
-    if (root.enabled()) root.AddAttr("partial", out.partial.ToString());
-  }
-  // A constraint stays in F unless some source covered it exactly; a
-  // disjunction stays unless one single source covers all its leaves.
-  {
-    Span filter_span(trace, "filter", root.id());
-    out.filter = MergedResidueFilter(full, coverages);
-  }
-  root.SetStats(out.stats);
+  Result<MediatorTranslation> out = gather.Finish(full, root);
+  if (out.ok()) root.SetStats(out->stats);
   return out;
 }
 

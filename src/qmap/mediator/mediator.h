@@ -15,6 +15,8 @@
 
 namespace qmap {
 
+class Span;
+
 /// The mediator's answer to "translate Q for everyone" (Eq. 3):
 /// Q = F ∧ S_1(Q) ∧ ... ∧ S_n(Q).
 struct MediatorTranslation {
@@ -37,6 +39,48 @@ struct MediatorTranslation {
   /// TranslationService). Observability only: not part of the translation's
   /// semantic payload.
   TranslationStats stats;
+};
+
+/// The one partial-result policy (docs/ROBUSTNESS.md), shared by every
+/// fan-out over sources: Mediator::Translate, FederatedCatalog::Query and
+/// TranslationService's join each feed it one outcome per source, in source
+/// order, and then call Finish once.
+///
+///   * Add keeps a successful translation (listing a degraded one in
+///     partial.degraded) and drops a failed source into partial.failed when
+///     partial answers are allowed (ResilienceOptions::allow_partial) and the
+///     failure is drop-category (IsSourceDropFailure). Any other failure is
+///     returned for the caller to fail the whole call with.
+///   * Finish fails the call with Unavailable when fewer than min_sources
+///     sources survived a drop, counts the partial result, and builds F from
+///     the survivors' exact coverage only. A constraint that only a dropped
+///     or degraded source realized exactly therefore stays in F — the
+///     recomputation that keeps partial answers sound.
+class PartialResultGather {
+ public:
+  /// `resilience` may be null: then no failure is droppable.
+  PartialResultGather(ResilienceManager* resilience, size_t num_sources)
+      : resilience_(resilience), num_sources_(num_sources) {}
+  // coverages_ points into out_.per_source: a copy would alias the original.
+  PartialResultGather(const PartialResultGather&) = delete;
+  PartialResultGather& operator=(const PartialResultGather&) = delete;
+
+  /// Folds in one source's outcome and its guard report (retries, deadline
+  /// hits, breaker rejections and degradation count into the stats). Returns
+  /// the failure when it cannot be dropped, Ok otherwise.
+  Status Add(const std::string& source, Result<Translation> translation,
+             const ResilienceManager::CallReport& report);
+
+  /// Runs the min_sources gate and builds F over the survivors under a
+  /// "filter" child span of `root`; a partial answer also tags `root` with
+  /// attr "partial". `root` may be disabled (no trace).
+  Result<MediatorTranslation> Finish(const Query& full, Span& root);
+
+ private:
+  ResilienceManager* const resilience_;
+  const size_t num_sources_;
+  MediatorTranslation out_;
+  std::vector<const ExactCoverage*> coverages_;  // survivors', in source order
 };
 
 /// A mediation pipeline over heterogeneous sources (Section 2): view

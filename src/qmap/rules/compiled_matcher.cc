@@ -156,6 +156,53 @@ bool SameMatching(const RunCtx& ctx, const FlatMatching& m) {
   return true;
 }
 
+uint64_t ConstraintSetHash(int32_t rule, const std::vector<int32_t>& sorted) {
+  uint64_t h = 1469598103934665603ull ^ static_cast<uint32_t>(rule);
+  for (const int32_t i : sorted) {
+    h ^= static_cast<uint32_t>(i);
+    h *= 1099511628211ull;
+  }
+  return h ^ (h >> 32);
+}
+
+bool IsDuplicate(const RunCtx& ctx, int32_t rule, uint64_t hash) {
+  const CompiledMatchScratch& s = *ctx.scratch;
+  if (s.dedup_slots.empty()) return false;
+  const size_t mask = s.dedup_slots.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const CompiledMatchScratch::DedupSlot& slot = s.dedup_slots[i];
+    if (slot.epoch != s.dedup_epoch) return false;
+    if (slot.hash != hash) continue;
+    const FlatMatching& m = s.matchings[static_cast<size_t>(slot.matching)];
+    if (m.rule == rule && SameMatching(ctx, m)) return true;
+  }
+}
+
+void InsertDedupSlot(CompiledMatchScratch& s,
+                     const CompiledMatchScratch::DedupSlot& entry) {
+  const size_t mask = s.dedup_slots.size() - 1;
+  size_t i = entry.hash & mask;
+  while (s.dedup_slots[i].epoch == s.dedup_epoch) i = (i + 1) & mask;
+  s.dedup_slots[i] = entry;
+  ++s.dedup_size;
+}
+
+void RememberForDedup(CompiledMatchScratch& s, uint64_t hash,
+                      int32_t matching) {
+  if (2 * (s.dedup_size + 1) > s.dedup_slots.size()) {
+    // Grows only past the largest table any earlier run needed, so the
+    // steady state stays allocation-free.
+    std::vector<CompiledMatchScratch::DedupSlot> old;
+    old.swap(s.dedup_slots);
+    s.dedup_slots.assign(std::max<size_t>(16, 2 * old.size()), {});
+    s.dedup_size = 0;
+    for (const CompiledMatchScratch::DedupSlot& entry : old) {
+      if (entry.epoch == s.dedup_epoch) InsertDedupSlot(s, entry);
+    }
+  }
+  InsertDedupSlot(s, {hash, matching, s.dedup_epoch});
+}
+
 void Accept(RunCtx& ctx, const PlanAccept& accept) {
   CompiledMatchScratch& s = *ctx.scratch;
   const Rule& rule = (*ctx.rules)[static_cast<size_t>(accept.rule)];
@@ -179,11 +226,10 @@ void Accept(RunCtx& ctx, const PlanAccept& accept) {
     for (; j > 0 && s.sorted[j - 1] > v; --j) s.sorted[j] = s.sorted[j - 1];
     s.sorted[j] = v;
   }
+  uint64_t set_hash = 0;
   if (!accept.dedup_free) {
-    for (int32_t mi = s.rule_head[static_cast<size_t>(accept.rule)]; mi != -1;
-         mi = s.matchings[static_cast<size_t>(mi)].next) {
-      if (SameMatching(ctx, s.matchings[static_cast<size_t>(mi)])) return;
-    }
+    set_hash = ConstraintSetHash(accept.rule, s.sorted);
+    if (IsDuplicate(ctx, accept.rule, set_hash)) return;
   }
   FlatMatching m;
   m.rule = accept.rule;
@@ -196,6 +242,7 @@ void Accept(RunCtx& ctx, const PlanAccept& accept) {
                         s.bindings.slots().end());
   const int32_t idx = static_cast<int32_t>(s.matchings.size());
   s.matchings.push_back(m);
+  if (!accept.dedup_free) RememberForDedup(s, set_hash, idx);
   int32_t& tail = s.rule_tail[static_cast<size_t>(accept.rule)];
   if (tail == -1) {
     s.rule_head[static_cast<size_t>(accept.rule)] = idx;
@@ -350,6 +397,11 @@ void CompiledMatchScratch::Prepare(const CompiledRulePlan& plan,
   rule_head.assign(static_cast<size_t>(plan.num_rules()), -1);
   rule_tail.assign(static_cast<size_t>(plan.num_rules()), -1);
   viewref_used_ = 0;
+  dedup_size = 0;
+  if (++dedup_epoch == 0) {  // wrapped: stale stamps could read as current
+    dedup_slots.assign(dedup_slots.size(), {});
+    dedup_epoch = 1;
+  }
 
   // Counting sort into per-slot buckets: each constraint lands in its op's
   // wildcard bucket and (when some pattern tests its (op, name)) one literal

@@ -164,6 +164,21 @@ class CompiledMatchScratch {
   std::vector<int32_t> rule_tail;
   std::vector<int32_t> sorted;  // per-accept index sort scratch
 
+  /// Duplicate check for accepts that are not dedup_free: an open-addressed
+  /// table of the matchings recorded so far, keyed by a hash of (rule,
+  /// sorted constraint set), so each check compares only matchings over the
+  /// same constraint set instead of walking the rule's whole chain. A slot
+  /// stamped with an older epoch is empty, so Prepare resets the table in
+  /// O(1) and it keeps its capacity across runs.
+  struct DedupSlot {
+    uint64_t hash = 0;
+    int32_t matching = -1;
+    uint32_t epoch = 0;
+  };
+  std::vector<DedupSlot> dedup_slots;  // power-of-two size, at most half full
+  size_t dedup_size = 0;
+  uint32_t dedup_epoch = 0;
+
  private:
   std::vector<int32_t> fill_cursor_;
   std::vector<int32_t> lit_slot_;  // per-constraint literal slot cache

@@ -4,14 +4,22 @@
 #include <chrono>
 #include <utility>
 
-#include "qmap/rules/rule_index.h"
-
 namespace qmap {
 namespace {
 
 std::atomic<uint64_t> g_plans_built{0};
 std::atomic<uint64_t> g_compile_ns{0};
 std::atomic<uint64_t> g_plan_nodes{0};
+
+// True when the pattern's attribute names a literal (neither a whole-attribute
+// variable nor a name variable). AttrExpr::Match then requires
+// attr.name == lhs.name_literal whether or not the pattern is view-qualified,
+// so the (op, name) literal bucket holds every candidate; view/index parts
+// are re-checked by the pattern program. Every other pattern draws from the
+// per-op wildcard bucket.
+bool NamesLiteralAttr(const ConstraintPattern& p) {
+  return !p.lhs.is_whole_var() && !p.lhs.name_literal.empty();
+}
 
 // Length-prefixed field append: injective no matter what bytes `s` holds
 // (programmatically built rules are not limited to DSL identifiers).
@@ -38,12 +46,11 @@ class Compiler {
   std::shared_ptr<const CompiledRulePlan> Run() {
     plan_->num_rules_ = static_cast<int32_t>(rules_.size());
     // Pass 1: fix the literal-slot table so WildcardSlot() is final before
-    // any pattern program records its bucket. Keys are the name strings
-    // themselves (KeyForPattern's bucket key is exactly lhs.name_literal),
-    // kept plan-local so runtime lookups never touch the global name table.
+    // any pattern program records its bucket. Keys are the name literals
+    // themselves, kept plan-local so runtime lookups take no lock.
     for (const Rule& rule : rules_) {
       for (const ConstraintPattern& p : rule.head) {
-        if (KeyForPattern(p).is_wildcard()) continue;
+        if (!NamesLiteralAttr(p)) continue;
         auto [it, inserted] = plan_->name_ids_.try_emplace(
             p.lhs.name_literal,
             static_cast<int32_t>(plan_->name_ids_.size()));
@@ -165,12 +172,11 @@ class Compiler {
   }
 
   PlanPattern CompilePattern(const ConstraintPattern& p) {
-    PatternKey key = KeyForPattern(p);
     PlanPattern pat;
-    pat.literal_bucket = !key.is_wildcard();
+    pat.literal_bucket = NamesLiteralAttr(p);
     pat.bucket = pat.literal_bucket
-                     ? plan_->LiteralSlot(key.op, p.lhs.name_literal)
-                     : plan_->WildcardSlot(key.op);
+                     ? plan_->LiteralSlot(p.op, p.lhs.name_literal)
+                     : plan_->WildcardSlot(p.op);
     pat.first_instr = static_cast<int32_t>(plan_->instrs.size());
     // The bucket guarantees constraint.op == p.op; a literal bucket
     // additionally guarantees attr.name == lhs.name_literal.

@@ -36,7 +36,7 @@ namespace qmap {
 /// A plan holds no pointers into the MappingSpec it was compiled from; it
 /// refers to rules by index, so it stays valid across spec copies/moves as
 /// long as the rule list itself is unchanged (MappingSpec invalidates its
-/// cached plan on AddRule, exactly like the RuleIndex).
+/// cached plan on AddRule).
 ///
 /// Immutable after construction — safe to share across threads.
 
@@ -94,7 +94,7 @@ struct PlanNode {
 /// disjoint (all literal with distinct ids — a constraint lands in exactly
 /// one literal bucket — or a single-pattern head), a given constraint set
 /// has exactly one assignment of constraints to head slots, so the DFS
-/// enumerates it at most once and the runtime skips the dedup chain walk.
+/// enumerates it at most once and the runtime skips the dedup check.
 struct PlanAccept {
   int32_t rule = 0;
   bool has_conditions = false;
@@ -116,8 +116,8 @@ class CompiledRulePlan {
   /// Candidate-bucket slot for a literal (op, attr-name) pair, or -1 when no
   /// pattern in the plan tests that pair. The lookup is plan-local and
   /// lock-free — one transparent string-hash probe, then a flat
-  /// [name][op] row — so the per-constraint Prepare loop never takes the
-  /// global AttrNameTable's shared_mutex.
+  /// [name][op] row — so the per-constraint Prepare loop never takes a
+  /// lock.
   int32_t LiteralSlot(Op op, std::string_view name) const {
     auto it = name_ids_.find(name);
     if (it == name_ids_.end()) return -1;

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "qmap/common/fnv.h"
-#include "qmap/rules/rule_index.h"
 #include "qmap/rules/rule_program.h"
 
 namespace qmap {
@@ -83,7 +82,6 @@ MappingSpec::MappingSpec(const MappingSpec& other)
     : target_name_(other.target_name_),
       registry_(other.registry_),
       rules_(other.rules_) {
-  rule_index_.Set(other.rule_index_.Peek());
   compiled_plan_.Set(other.compiled_plan_.Peek());
   std::lock_guard<std::mutex> lock(other.fingerprint_mu_);
   fingerprint_ = other.fingerprint_;
@@ -96,7 +94,6 @@ MappingSpec& MappingSpec::operator=(const MappingSpec& other) {
   target_name_ = other.target_name_;
   registry_ = other.registry_;
   rules_ = other.rules_;
-  rule_index_.Set(other.rule_index_.Peek());
   compiled_plan_.Set(other.compiled_plan_.Peek());
   uint64_t fingerprint = 0;
   bool fingerprint_valid = false;
@@ -118,7 +115,6 @@ MappingSpec::MappingSpec(MappingSpec&& other) noexcept
     : target_name_(std::move(other.target_name_)),
       registry_(std::move(other.registry_)),
       rules_(std::move(other.rules_)) {
-  rule_index_.Set(other.rule_index_.Peek());
   compiled_plan_.Set(other.compiled_plan_.Peek());
   std::lock_guard<std::mutex> lock(other.fingerprint_mu_);
   fingerprint_ = other.fingerprint_;
@@ -131,7 +127,6 @@ MappingSpec& MappingSpec::operator=(MappingSpec&& other) noexcept {
   target_name_ = std::move(other.target_name_);
   registry_ = std::move(other.registry_);
   rules_ = std::move(other.rules_);
-  rule_index_.Set(other.rule_index_.Peek());
   compiled_plan_.Set(other.compiled_plan_.Peek());
   uint64_t fingerprint = 0;
   bool fingerprint_valid = false;
@@ -162,11 +157,6 @@ uint64_t MappingSpec::fingerprint() const {
     fingerprint_valid_ = true;
   }
   return fingerprint_;
-}
-
-std::shared_ptr<const RuleIndex> MappingSpec::rule_index() const {
-  return rule_index_.GetOrBuild(
-      [this] { return std::make_shared<const RuleIndex>(rules_); });
 }
 
 std::shared_ptr<const CompiledRulePlan> MappingSpec::compiled_plan() const {

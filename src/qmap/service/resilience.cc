@@ -452,6 +452,14 @@ void ResilienceManager::RecordPartialResult(size_t) {
   if (partials_counter_ != nullptr) partials_counter_->Inc();
 }
 
+const CancelToken* ResilienceManager::MakeRequestToken(
+    CancelToken* storage) const {
+  if (options_.request_deadline_us == 0) return nullptr;
+  storage->budget = DeadlineBudget{}.Narrowed(clock_->NowUs(),
+                                              options_.request_deadline_us);
+  return storage;
+}
+
 ResilienceCounters ResilienceManager::counters() const {
   ResilienceCounters out;
   out.retries = retries_.load(std::memory_order_relaxed);

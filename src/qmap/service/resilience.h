@@ -309,6 +309,11 @@ class ResilienceManager {
   /// happens inside GuardedTranslate's callers via the report).
   void RecordPartialResult(size_t num_failed_sources);
 
+  /// The whole-request budget: arms `storage` with request_deadline_us from
+  /// now and returns it, or returns nullptr when no request deadline is
+  /// configured. Callers own `storage`, which must outlive the request.
+  const CancelToken* MakeRequestToken(CancelToken* storage) const;
+
   ResilienceCounters counters() const;
   ResilienceClock* clock() const { return clock_; }
   FaultInjector* injector() const { return injector_; }

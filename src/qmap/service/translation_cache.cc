@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "qmap/common/fnv.h"
 #include "qmap/obs/metrics.h"
 
 namespace qmap {
@@ -13,14 +12,6 @@ TranslationCache::TranslationCache(TranslationCacheOptions options) {
   per_shard_capacity_ = (capacity + shards - 1) / shards;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-TranslationCacheKey TranslationCache::KeyOfString(const std::string& key) {
-  TranslationCacheKey out;
-  out.source = Fnv64().AddByte('s').Add(key).value();
-  out.rule_set = Fnv64().AddByte('r').Add(key).value();
-  out.query = Fnv64().AddByte('q').Add(key).value();
-  return out;
 }
 
 TranslationCache::Shard& TranslationCache::ShardFor(
@@ -63,10 +54,6 @@ std::optional<Translation> TranslationCache::Get(const TranslationCacheKey& key)
   return it->second->value;
 }
 
-std::optional<Translation> TranslationCache::Get(const std::string& key) {
-  return Get(KeyOfString(key));
-}
-
 bool TranslationCache::Put(const TranslationCacheKey& key, Translation value) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -88,10 +75,6 @@ bool TranslationCache::Put(const TranslationCacheKey& key, Translation value) {
   ++shard.stats.evictions;
   if (evictions_counter_ != nullptr) evictions_counter_->Inc();
   return true;
-}
-
-bool TranslationCache::Put(const std::string& key, Translation value) {
-  return Put(KeyOfString(key), std::move(value));
 }
 
 TranslationCacheStats TranslationCache::stats() const {

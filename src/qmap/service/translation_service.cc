@@ -9,7 +9,6 @@
 
 #include "qmap/common/fnv.h"
 #include "qmap/common/version.h"
-#include "qmap/core/filter.h"
 #include "qmap/core/match_memo.h"
 #include "qmap/expr/intern.h"
 #include "qmap/expr/printer.h"
@@ -392,6 +391,9 @@ Result<Translation> TranslationService::TranslateMiss(
     if (!result.ok()) {
       runtime.failures.fetch_add(1, std::memory_order_relaxed);
     }
+    if (report != nullptr && report->retries > 0) {
+      runtime.retries.fetch_add(report->retries, std::memory_order_relaxed);
+    }
     return result;
   };
   if (!options_.enable_cache) return guarded();
@@ -511,70 +513,28 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
     }
   }
 
-  // Deterministic join: sources_ is sorted by name, and the merge below
-  // always runs in that order, independent of task completion order.
+  // Deterministic join: sources_ is sorted by name, and the gather always
+  // runs in that order, independent of task completion order.
   Span join_span(trace, "join", root_id);
-  MediatorTranslation out;
-  std::vector<const ExactCoverage*> coverages;
-  const bool allow_partial =
-      resilience_ != nullptr && resilience_->options().allow_partial;
+  PartialResultGather gather(resilience_.get(), n);
   for (size_t i = 0; i < n; ++i) {
-    const ResilienceManager::CallReport& report = reports[i];
-    if (report.retries > 0) {
-      sources_[i].runtime->retries.fetch_add(report.retries,
-                                             std::memory_order_relaxed);
-    }
-    out.stats.retries += report.retries;
-    out.stats.deadline_hits += report.deadline_hit ? 1 : 0;
-    out.stats.breaker_rejections += report.breaker_rejected ? 1 : 0;
-    Result<Translation>& translation = *outcomes[i];
-    if (!translation.ok()) {
-      // Drop the failed source into the partial result: its coverage never
-      // reaches `coverages`, so MergedResidueFilter below regains every
-      // constraint only that source would have realized — the recomputation
-      // that keeps partial answers sound.
-      if (allow_partial && IsSourceDropFailure(translation.status().code())) {
-        out.partial.failed.push_back(
-            {sources_[i].name, translation.status(), report.attempts});
-        out.stats.failed_sources += 1;
-        continue;
-      }
-      return translation.status();
-    }
-    if (report.degraded) {
-      out.partial.degraded.push_back(sources_[i].name);
-      out.stats.degraded_sources += 1;
-    }
-    out.stats.MergeFrom(translation->stats);
-    auto [slot, inserted] =
-        out.per_source.emplace(sources_[i].name, *std::move(translation));
-    if (inserted) coverages.push_back(&slot->second.coverage);
+    Status failure =
+        gather.Add(sources_[i].name, *std::move(outcomes[i]), reports[i]);
+    if (!failure.ok()) return failure;
   }
-  if (resilience_ != nullptr && !out.partial.failed.empty()) {
-    const size_t survivors = n - out.partial.failed.size();
-    if (survivors < std::max<size_t>(1, resilience_->options().min_sources)) {
-      return Status::Unavailable(
-          "only " + std::to_string(survivors) + " of " + std::to_string(n) +
-          " sources available: " + out.partial.ToString());
-    }
-    resilience_->RecordPartialResult(out.partial.failed.size());
-    if (root.enabled()) root.AddAttr("partial", out.partial.ToString());
-  }
-  if (fan_out) out.stats.parallel_tasks += misses;
   join_span.End();
-  {
-    Span filter_span(trace, "filter", root_id);
-    out.filter = MergedResidueFilter(full, coverages);
-  }
+  Result<MediatorTranslation> out = gather.Finish(full, root);
+  if (!out.ok()) return out;
+  if (fan_out) out->stats.parallel_tasks += misses;
   if (match_attempts_counter_ != nullptr) {
-    match_attempts_counter_->Inc(out.stats.match.pattern_attempts);
-    match_index_hits_counter_->Inc(out.stats.match.index_hits);
-    match_memo_hits_counter_->Inc(out.stats.memo_hits);
-    match_saved_counter_->Inc(out.stats.match.pattern_attempts_saved);
-    match_compiled_hits_counter_->Inc(out.stats.match.compiled_hits);
+    match_attempts_counter_->Inc(out->stats.match.pattern_attempts);
+    match_index_hits_counter_->Inc(out->stats.match.index_hits);
+    match_memo_hits_counter_->Inc(out->stats.memo_hits);
+    match_saved_counter_->Inc(out->stats.match.pattern_attempts_saved);
+    match_compiled_hits_counter_->Inc(out->stats.match.compiled_hits);
     BridgeCompileStats();
   }
-  root.SetStats(out.stats);
+  root.SetStats(out->stats);
   return out;
 }
 
@@ -684,18 +644,6 @@ void TranslationService::WarmUpFromStoreOnce() const {
     });
     warmed_up_.store(true, std::memory_order_release);
   });
-}
-
-const CancelToken* TranslationService::MakeRequestToken(
-    CancelToken* storage) const {
-  if (resilience_ == nullptr ||
-      resilience_->options().request_deadline_us == 0) {
-    return nullptr;
-  }
-  storage->budget = DeadlineBudget{}.Narrowed(
-      resilience_->clock()->NowUs(),
-      resilience_->options().request_deadline_us);
-  return storage;
 }
 
 Result<MediatorTranslation> TranslationService::Translate(const Query& query,

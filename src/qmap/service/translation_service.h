@@ -196,7 +196,7 @@ struct ServiceStatus {
   bool store_ok = false;   // true when no store is configured
   bool warmed_up = false;  // boot replay completed (false when not configured)
   /// Active rule-matching engine (MatchEngineName of CurrentMatchEngine):
-  /// "naive", "indexed", or "compiled".
+  /// "naive" or "compiled".
   std::string match_engine;
   /// BeginDrain() was called (also forces ready=false): the process is
   /// shutting down and wants traffic steered away.
@@ -506,9 +506,12 @@ class TranslationService {
       const std::vector<std::unique_ptr<MatchMemo>>& memos,
       const CancelToken* cancel) const;
 
-  /// Builds the request-level cancel token when a request deadline is
-  /// configured; returns null (no token) otherwise.
-  const CancelToken* MakeRequestToken(CancelToken* storage) const;
+  /// The request-level cancel token (ResilienceManager::MakeRequestToken),
+  /// or null when resilience is off.
+  const CancelToken* MakeRequestToken(CancelToken* storage) const {
+    return resilience_ != nullptr ? resilience_->MakeRequestToken(storage)
+                                  : nullptr;
+  }
 
   /// Refreshes the point-in-time gauges (pool queue depth, cache entries,
   /// store live records, per-source breaker state) in the attached registry.

@@ -1,15 +1,15 @@
 // Acceptance suite for the compiled discrimination-DAG matcher
 // (qmap/rules/compiled_matcher.h, qmap/rules/rule_program.h):
 //
-//  * full translations must be byte-identical under all three match engines
-//    for every shipped context spec;
+//  * full translations must be byte-identical under both match engines for
+//    every shipped context spec;
 //  * randomized-query equivalence: 500+ random queries per synthetic spec,
-//    every DNF disjunct matched by all three engines, seed echoed on
-//    failure so a miss is reproducible;
+//    every DNF disjunct matched by both engines, seed echoed on failure so
+//    a miss is reproducible;
 //  * the lazily-built plan is published exactly once under a concurrent
 //    first-build race (pointer identity across threads) — this test plus
 //    the LazyShared stress below run under TSan in CI;
-//  * QMAP_MATCH_ENGINE / QMAP_DISABLE_MATCH_INDEX decoding.
+//  * QMAP_MATCH_ENGINE decoding.
 //
 // Every suite name starts with "CompiledMatcher" — the TSan CI job selects
 // them by that regex.
@@ -18,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -37,7 +39,6 @@
 #include "qmap/contexts/synthetic.h"
 #include "qmap/core/translator.h"
 #include "qmap/expr/dnf.h"
-#include "qmap/rules/rule_index.h"
 #include "qmap/rules/rule_program.h"
 #include "qmap/rules/spec_parser.h"
 #include "test_util.h"
@@ -48,8 +49,8 @@ namespace {
 using testing::C;
 using testing::Q;
 
-constexpr MatchEngine kAllEngines[] = {
-    MatchEngine::kNaive, MatchEngine::kIndexed, MatchEngine::kCompiled};
+constexpr MatchEngine kAllEngines[] = {MatchEngine::kNaive,
+                                       MatchEngine::kCompiled};
 
 std::string Render(const std::vector<Matching>& matchings) {
   std::string out;
@@ -162,8 +163,7 @@ TEST(CompiledMatcherTranslations, ByteIdenticalAcrossEnginesAllContexts) {
       }
       renderings.push_back(std::move(rendering));
     }
-    EXPECT_EQ(renderings[1], renderings[0]) << "indexed diverged from naive";
-    EXPECT_EQ(renderings[2], renderings[0]) << "compiled diverged from naive";
+    EXPECT_EQ(renderings[1], renderings[0]) << "compiled diverged from naive";
   }
 }
 
@@ -183,9 +183,7 @@ void RandomizedEquivalence(const SyntheticOptions& options, uint64_t seed,
                  " query=" + query.ToString());
     for (const std::vector<Constraint>& disjunct : DnfDisjuncts(query)) {
       std::vector<Matching> naive = MatchSpecNaive(*spec, disjunct);
-      std::vector<Matching> indexed = MatchSpecIndexed(*spec, disjunct);
       std::vector<Matching> compiled = MatchSpecCompiled(*spec, disjunct);
-      ASSERT_EQ(Render(indexed), Render(naive));
       ASSERT_EQ(Render(compiled), Render(naive));
     }
   }
@@ -229,8 +227,42 @@ TEST(CompiledMatcherRandomized, DuplicateHeavyConjunctions) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " trial=" + std::to_string(trial));
     std::vector<Matching> naive = MatchSpecNaive(*spec, conjunction);
-    ASSERT_EQ(Render(MatchSpecIndexed(*spec, conjunction)), Render(naive));
     ASSERT_EQ(Render(MatchSpecCompiled(*spec, conjunction)), Render(naive));
+  }
+}
+
+TEST(CompiledMatcherRandomized, DedupTableGrowsAndSurvivesEpochWrap) {
+  // Wholly ambiguous heads over a conjunction with repeated constraints:
+  // many slot assignments reach one accept, duplicates among them, so the
+  // dedup table grows well past its initial size within one run. A wrapped
+  // epoch must not read stale or empty slots as live.
+  auto registry = SyntheticRegistry();
+  Result<MappingSpec> spec = ParseMappingSpec(
+      "rule R: [A0 = N0]; [A1 = N1]; [A2 = N2] => emit true;", "test",
+      registry);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const std::vector<Constraint> conjunction = {
+      C("[x = 1]"), C("[x = 1]"), C("[y = 2]"),
+      C("[y = 2]"), C("[z = 3]"), C("[x = 1]")};
+  const size_t expected = MatchSpecNaive(*spec, conjunction).size();
+  ASSERT_GT(expected, 16u);
+  std::shared_ptr<const CompiledRulePlan> plan = spec->compiled_plan();
+  CompiledMatchScratch scratch;
+  // Every slot stamped with the current epoch must be an entry of this run.
+  const auto live_slots = [&scratch] {
+    return static_cast<size_t>(std::count_if(
+        scratch.dedup_slots.begin(), scratch.dedup_slots.end(),
+        [&scratch](const CompiledMatchScratch::DedupSlot& slot) {
+          return slot.epoch == scratch.dedup_epoch;
+        }));
+  };
+  EXPECT_EQ(RunCompiled(*plan, *spec, conjunction, &scratch), expected);
+  EXPECT_EQ(live_slots(), scratch.dedup_size);
+  EXPECT_GT(scratch.dedup_slots.size(), 16u);
+  scratch.dedup_epoch = std::numeric_limits<uint32_t>::max();
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(RunCompiled(*plan, *spec, conjunction, &scratch), expected);
+    EXPECT_EQ(live_slots(), scratch.dedup_size);
   }
 }
 
@@ -285,10 +317,10 @@ TEST(CompiledMatcherPlan, AddRuleInvalidatesPlan) {
 // --- Concurrent publication ----------------------------------------------
 
 TEST(CompiledMatcherConcurrency, FirstBuildRacePublishesOnePlan) {
-  // Many threads race the cold compiled_plan() / rule_index() build on a
-  // shared spec. Exactly one plan object may win; every thread must observe
-  // the same pointer, and every thread's match result must be correct. Run
-  // under TSan in CI.
+  // Many threads race the cold compiled_plan() build on a shared spec.
+  // Exactly one plan object may win; every thread must observe the same
+  // pointer, and every thread's match result must be correct. Run under
+  // TSan in CI.
   for (int round = 0; round < 20; ++round) {
     MappingSpec spec = AmazonSpec();
     const std::vector<Constraint> conjunction = {
@@ -296,7 +328,6 @@ TEST(CompiledMatcherConcurrency, FirstBuildRacePublishesOnePlan) {
     const std::string expected = Render(MatchSpecNaive(spec, conjunction));
     constexpr int kThreads = 8;
     std::vector<const CompiledRulePlan*> plans(kThreads, nullptr);
-    std::vector<const RuleIndex*> indexes(kThreads, nullptr);
     std::vector<std::string> results(kThreads);
     std::latch start(kThreads);
     std::vector<std::thread> threads;
@@ -304,14 +335,12 @@ TEST(CompiledMatcherConcurrency, FirstBuildRacePublishesOnePlan) {
       threads.emplace_back([&, t] {
         start.arrive_and_wait();
         plans[t] = spec.compiled_plan().get();
-        indexes[t] = spec.rule_index().get();
         results[t] = Render(MatchSpecCompiled(spec, conjunction));
       });
     }
     for (std::thread& thread : threads) thread.join();
     for (int t = 1; t < kThreads; ++t) {
       EXPECT_EQ(plans[t], plans[0]) << "thread " << t << " got its own plan";
-      EXPECT_EQ(indexes[t], indexes[0]);
     }
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(results[t], expected) << "thread " << t;
@@ -353,14 +382,12 @@ TEST(CompiledMatcherEngine, EnvDecoding) {
   // process default is latched), so the decode table is directly testable.
   const char* saved_engine = std::getenv("QMAP_MATCH_ENGINE");
   const std::string saved_engine_value = saved_engine ? saved_engine : "";
-  const char* saved_disable = std::getenv("QMAP_DISABLE_MATCH_INDEX");
-  const std::string saved_disable_value = saved_disable ? saved_disable : "";
 
-  ::unsetenv("QMAP_DISABLE_MATCH_INDEX");
   ::setenv("QMAP_MATCH_ENGINE", "naive", 1);
   EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kNaive);
   ::setenv("QMAP_MATCH_ENGINE", "indexed", 1);
-  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kIndexed);
+  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled)
+      << "the retired engine name must fall back to the default engine";
   ::setenv("QMAP_MATCH_ENGINE", "compiled", 1);
   EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled);
   ::setenv("QMAP_MATCH_ENGINE", "hovercraft", 1);
@@ -368,36 +395,22 @@ TEST(CompiledMatcherEngine, EnvDecoding) {
       << "unknown value must fall back to the default engine";
   ::unsetenv("QMAP_MATCH_ENGINE");
   EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled);
-  // Deprecated alias, honored only when QMAP_MATCH_ENGINE is absent.
-  ::setenv("QMAP_DISABLE_MATCH_INDEX", "1", 1);
-  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kNaive);
-  ::setenv("QMAP_MATCH_ENGINE", "compiled", 1);
-  EXPECT_EQ(MatchEngineFromEnv(), MatchEngine::kCompiled)
-      << "QMAP_MATCH_ENGINE must win over the deprecated alias";
 
   if (saved_engine) {
     ::setenv("QMAP_MATCH_ENGINE", saved_engine_value.c_str(), 1);
   } else {
     ::unsetenv("QMAP_MATCH_ENGINE");
   }
-  if (saved_disable) {
-    ::setenv("QMAP_DISABLE_MATCH_INDEX", saved_disable_value.c_str(), 1);
-  } else {
-    ::unsetenv("QMAP_DISABLE_MATCH_INDEX");
-  }
 }
 
 TEST(CompiledMatcherEngine, NamesAndDeprecatedWrappers) {
   ScopedEngine restore;
   EXPECT_STREQ(MatchEngineName(MatchEngine::kNaive), "naive");
-  EXPECT_STREQ(MatchEngineName(MatchEngine::kIndexed), "indexed");
   EXPECT_STREQ(MatchEngineName(MatchEngine::kCompiled), "compiled");
   SetMatchEngine(MatchEngine::kCompiled);
-  EXPECT_TRUE(MatchIndexEnabled());
-  SetMatchIndexEnabled(false);
+  EXPECT_EQ(CurrentMatchEngine(), MatchEngine::kCompiled);
+  SetMatchEngine(MatchEngine::kNaive);
   EXPECT_EQ(CurrentMatchEngine(), MatchEngine::kNaive);
-  SetMatchIndexEnabled(true);
-  EXPECT_EQ(CurrentMatchEngine(), MatchEngine::kIndexed);
 }
 
 TEST(CompiledMatcherEngine, CompiledHitsCounterAdvances) {

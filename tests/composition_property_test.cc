@@ -11,7 +11,7 @@
 //
 // where w is the tuple converted through every hop's data direction. The
 // harness also pins that these topologies compose *exactly* (zero
-// approximate marks), that all three match engines produce byte-identical
+// approximate marks), that both match engines produce byte-identical
 // composed-spec translations, and that containment-pruning a subsumed
 // source never changes the merged result.
 //
@@ -387,7 +387,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Engine differential: the composed spec must translate byte-identically
-// under all three match engines (the engines' contract extends to composer
+// under both match engines (the engines' contract extends to composer
 // output — composed rules are ordinary rules).
 
 TEST(CompositionHarness, MatchEnginesAgreeOnComposedSpec) {
@@ -406,8 +406,7 @@ TEST(CompositionHarness, MatchEnginesAgreeOnComposedSpec) {
         Query q = RandomQuery(rng, qopt);
         std::string reference_mapped, reference_filter;
         for (MatchEngine engine :
-             {MatchEngine::kNaive, MatchEngine::kIndexed,
-              MatchEngine::kCompiled}) {
+             {MatchEngine::kNaive, MatchEngine::kCompiled}) {
           SetMatchEngine(engine);
           Result<Translation> t = translator.Translate(q);
           ASSERT_TRUE(t.ok()) << t.status().ToString();

@@ -209,31 +209,32 @@ TEST(MatchMemoKey, OrderSensitiveAndStable) {
 }
 
 TEST(TranslationCacheKeyTest, TypedAndStringPathsCoexist) {
+  // Keys that differ in any one 64-bit third — context, rule-set version or
+  // query — are distinct entries of one store.
   TranslationCache cache(TranslationCacheOptions{});
-  Translation t1;
-  t1.mapped = Q("[a = 1]");
-  Translation t2;
-  t2.mapped = Q("[b = 2]");
-
-  TranslationCacheKey typed{0x1234, 0x5678};
-  cache.Put(typed, t1);
-  cache.Put("legacy-key", t2);
-
-  auto hit_typed = cache.Get(typed);
-  ASSERT_TRUE(hit_typed.has_value());
-  EXPECT_EQ(hit_typed->mapped.ToString(), "[a = 1]");
-
-  // The string path folds into the same store via KeyOfString: hits via the
-  // same string, misses via a different one, and the folded key is distinct
-  // from the typed key above.
-  auto hit_string = cache.Get("legacy-key");
-  ASSERT_TRUE(hit_string.has_value());
-  EXPECT_EQ(hit_string->mapped.ToString(), "[b = 2]");
-  EXPECT_FALSE(cache.Get("other-key").has_value());
-  EXPECT_EQ(cache.size(), 2u);
+  const TranslationCacheKey base{0x1234, 0x5678, 0x9abc};
+  const TranslationCacheKey keys[] = {
+      base,
+      {0x1235, 0x5678, 0x9abc},  // other context
+      {0x1234, 0x5679, 0x9abc},  // other rule set
+      {0x1234, 0x5678, 0x9abd},  // other query
+  };
+  for (size_t i = 0; i < std::size(keys); ++i) {
+    Translation t;
+    t.mapped = Q("[a = " + std::to_string(i) + "]");
+    cache.Put(keys[i], t);
+  }
+  EXPECT_EQ(cache.size(), std::size(keys));
+  for (size_t i = 0; i < std::size(keys); ++i) {
+    auto hit = cache.Get(keys[i]);
+    ASSERT_TRUE(hit.has_value()) << i;
+    EXPECT_EQ(hit->mapped.ToString(), "[a = " + std::to_string(i) + "]");
+  }
+  EXPECT_FALSE(cache.Get({0x1234, 0x5678, 0}).has_value());
   TranslationCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, std::size(keys));
   EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.updates, 0u);
 }
 
 // ---------------------------------------------------------------------------

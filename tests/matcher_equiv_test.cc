@@ -1,10 +1,10 @@
-// Equivalence suite for the accelerated matchers: MatchSpecIndexed and
-// MatchSpecCompiled (the default engine) must emit byte-identical matchings
-// — same rules, same constraint sets, same bindings, same ORDER — as
-// MatchSpecNaive, for every shipped context spec and for randomized
-// synthetic specs and queries. The whole acceleration layer (rule index,
-// conjunction buckets, compiled discrimination DAG, bindings undo log,
-// hashed dedup) rests on this invariant.
+// Equivalence suite for the accelerated matcher: MatchSpecCompiled (the
+// default engine) must emit byte-identical matchings — same rules, same
+// constraint sets, same bindings, same ORDER — as the MatchSpecNaive oracle,
+// for every shipped context spec and for randomized synthetic specs and
+// queries. The whole acceleration layer (candidate buckets, compiled
+// discrimination DAG, bindings undo log, hashed dedup) rests on this
+// invariant.
 
 #include "qmap/rules/matcher.h"
 
@@ -41,32 +41,24 @@ std::string Render(const std::vector<Matching>& matchings) {
   return out;
 }
 
-// Asserts indexed == naive == compiled byte-for-byte, and that the index
-// never does more pattern trials than the naive matcher while accounting
-// for every trial it skipped.
+// Asserts naive == compiled byte-for-byte, and that the compiled engine
+// never does more pattern trials than the naive matcher.
 void ExpectEquivalent(const MappingSpec& spec,
                       const std::vector<Constraint>& conjunction) {
   MatchCounters naive_counters;
   std::vector<Matching> naive = MatchSpecNaive(spec, conjunction, &naive_counters);
-  MatchCounters indexed_counters;
-  std::vector<Matching> indexed =
-      MatchSpecIndexed(spec, conjunction, &indexed_counters);
   MatchCounters compiled_counters;
   std::vector<Matching> compiled =
       MatchSpecCompiled(spec, conjunction, &compiled_counters);
-  EXPECT_EQ(Render(indexed), Render(naive));
   EXPECT_EQ(Render(compiled), Render(naive));
-  EXPECT_EQ(indexed_counters.matchings_found, naive_counters.matchings_found);
   EXPECT_EQ(compiled_counters.matchings_found, naive_counters.matchings_found);
-  EXPECT_LE(indexed_counters.pattern_attempts, naive_counters.pattern_attempts);
-  // The DAG shares prefixes across rules, so it can only do fewer trials
-  // than the per-rule indexed interpreter.
+  // Candidate buckets and shared prefixes can only remove trials.
   EXPECT_LE(compiled_counters.pattern_attempts,
             naive_counters.pattern_attempts);
-  // `saved` counts skipped trials conservatively (a wholly skipped rule is
-  // credited one slot-0 sweep, a lower bound on its naive recursion).
-  EXPECT_LE(indexed_counters.pattern_attempts +
-                indexed_counters.pattern_attempts_saved,
+  // `saved` counts skipped trials conservatively (a wholly skipped subtree
+  // is credited one sweep, a lower bound on its naive recursion).
+  EXPECT_LE(compiled_counters.pattern_attempts +
+                compiled_counters.pattern_attempts_saved,
             naive_counters.pattern_attempts);
 }
 
@@ -184,23 +176,22 @@ TEST(MatcherEquivalence, DisableToggleFallsBackToNaive) {
   MappingSpec spec = AmazonSpec();
   std::vector<Constraint> conjunction = {C("[ln = \"Smith\"]"),
                                          C("[pyear = 1997]"), C("[pmonth = 5]")};
-  ASSERT_TRUE(MatchIndexEnabled());
+  ASSERT_NE(CurrentMatchEngine(), MatchEngine::kNaive);
   std::vector<Matching> accelerated = MatchSpec(spec, conjunction);
-  SetMatchIndexEnabled(false);
-  EXPECT_FALSE(MatchIndexEnabled());
+  SetMatchEngine(MatchEngine::kNaive);
   EXPECT_EQ(CurrentMatchEngine(), MatchEngine::kNaive);
   MatchCounters counters;
   std::vector<Matching> disabled = MatchSpec(spec, conjunction, &counters);
   SetMatchEngine(saved_engine);
   EXPECT_EQ(Render(disabled), Render(accelerated));
-  // The naive fallback has no index to hit or save with.
+  // The naive fallback has no buckets to hit or save with.
   EXPECT_EQ(counters.index_hits, 0u);
   EXPECT_EQ(counters.pattern_attempts_saved, 0u);
   EXPECT_EQ(counters.compiled_hits, 0u);
 }
 
 // End-to-end A/B: full translations (mapped query AND residue filter) must
-// be identical under every match engine (naive, indexed, compiled), with
+// be identical under both match engines (naive, compiled), with
 // the match memo on or off, in every combination — across all three
 // algorithms.
 TEST(MatcherEquivalence, TranslationsIdenticalAcrossAccelerationModes) {
@@ -218,7 +209,7 @@ TEST(MatcherEquivalence, TranslationsIdenticalAcrossAccelerationModes) {
         MappingAlgorithm::kNaive}) {
     std::vector<std::string> renderings;
     for (MatchEngine engine :
-         {MatchEngine::kCompiled, MatchEngine::kIndexed, MatchEngine::kNaive}) {
+         {MatchEngine::kCompiled, MatchEngine::kNaive}) {
       for (bool memo_on : {true, false}) {
         SetMatchEngine(engine);
         TranslatorOptions options;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <latch>
 #include <memory>
 #include <string>
@@ -383,6 +384,42 @@ TEST(ResilientService, MinSourcesGateRejectsTooThinAnswers) {
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(got.status().ToString().find("2 of 4"), std::string::npos);
+}
+
+TEST(ResilientService, RetriesReachTheScoreboardOnEveryPath) {
+  // One retried transient failure must show on the source's /statusz row
+  // whether the call came in through the per-source RPC entry or through
+  // the full fan-out.
+  const Query q = Q("[a0 = 1] and [a1 = 2]");
+  const auto retries_of = [](const TranslationService& service,
+                             const std::string& name) -> uint64_t {
+    for (const SourceStatus& source : service.StatusSnapshot().sources) {
+      if (source.name == name) return source.retries;
+    }
+    ADD_FAILURE() << "no status row for " << name;
+    return 0;
+  };
+  {
+    FaultInjector injector(7);
+    injector.FailNext("S1", 1, Status::Unavailable("injected fault"));
+    ManualClock clock;
+    auto service = MakeResilientService(&injector, &clock);
+    Result<Translation> got = service->TranslateSource("S1", q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(retries_of(*service, "S1"), 1u);
+    EXPECT_EQ(retries_of(*service, "S0"), 0u);
+  }
+  {
+    FaultInjector injector(7);
+    injector.FailNext("S1", 1, Status::Unavailable("injected fault"));
+    ManualClock clock;
+    auto service = MakeResilientService(&injector, &clock);
+    Result<MediatorTranslation> got = service->Translate(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->stats.retries, 1u);
+    EXPECT_EQ(retries_of(*service, "S1"), 1u);
+    EXPECT_EQ(retries_of(*service, "S0"), 0u);
+  }
 }
 
 TEST(ResilientService, StalledSourceHitsItsDeadlineWithoutRealSleeps) {
@@ -792,6 +829,140 @@ TEST(ResilientMediator, PartialTranslationIsReportedButNotExecutable) {
   EXPECT_EQ(executed.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(executed.status().ToString().find("partial translation"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One partial-result policy, three callers
+
+constexpr int kGatherSources = 3;
+
+// One synthetic federation built three ways — a FederatedCatalog (union), a
+// Mediator (join), and a TranslationService registered from that Mediator —
+// each with its own identically scripted injector and clock. All three
+// route every source outcome through the same gather, so they must make the
+// same drop / gate / fail decisions.
+struct ThreeCallers {
+  FaultInjector catalog_faults{7};
+  FaultInjector mediator_faults{7};
+  FaultInjector service_faults{7};
+  ManualClock catalog_clock;
+  ManualClock mediator_clock;
+  ManualClock service_clock;
+  FederatedCatalog catalog;
+  Mediator mediator;
+  std::unique_ptr<TranslationService> service;
+};
+
+std::unique_ptr<ThreeCallers> MakeThreeCallers(
+    const std::function<void(FaultInjector&)>& script,
+    ResilienceOptions resilience = {}) {
+  auto callers = std::make_unique<ThreeCallers>();
+  script(callers->catalog_faults);
+  script(callers->mediator_faults);
+  script(callers->service_faults);
+  resilience.enabled = true;
+  resilience.retry.max_attempts = 2;
+
+  SyntheticFederationOptions fed;
+  fed.num_members = kGatherSources;
+  Result<FederatedCatalog> catalog = MakeSyntheticFederation(fed);
+  EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+  if (catalog.ok()) callers->catalog = *std::move(catalog);
+  callers->catalog.SetResilience(resilience, &callers->catalog_clock,
+                                 &callers->catalog_faults);
+
+  for (int m = 0; m < kGatherSources; ++m) {
+    Result<MappingSpec> spec = MakeSyntheticSpec(SyntheticMemberOptions(fed, m));
+    EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+    callers->mediator.AddSource(
+        SourceContext("S" + std::to_string(m), *std::move(spec)));
+  }
+  callers->mediator.SetResilience(resilience, &callers->mediator_clock,
+                                  &callers->mediator_faults);
+
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.enable_cache = false;
+  options.resilience = resilience;
+  options.fault_injector = &callers->service_faults;
+  options.clock = &callers->service_clock;
+  callers->service = std::make_unique<TranslationService>(options);
+  callers->service->AddSourcesFrom(callers->mediator);
+  return callers;
+}
+
+std::vector<std::string> FailedNames(const PartialResult& partial) {
+  std::vector<std::string> names;
+  for (const SourceFailure& failure : partial.failed) {
+    names.push_back(failure.source);
+  }
+  return names;
+}
+
+TEST(ResilientGather, DroppedSourcesAreReportedAlikeByAllThreeCallers) {
+  const Query q = Q("([a0 = 1] or [a1 = 2]) and [a2 = 3] and [a3 = 0]");
+  const std::vector<std::vector<std::string>> victim_sets = {{"S1"},
+                                                            {"S0", "S2"}};
+  for (const std::vector<std::string>& victims : victim_sets) {
+    SCOPED_TRACE("victims: " + std::to_string(victims.size()));
+    auto callers = MakeThreeCallers([&](FaultInjector& faults) {
+      for (const std::string& victim : victims) faults.FailNext(victim, 1000);
+    });
+    Result<FederatedCatalog::FederatedResult> federated =
+        callers->catalog.Query(q);
+    Result<MediatorTranslation> mediated = callers->mediator.Translate(q);
+    Result<MediatorTranslation> served = callers->service->Translate(q);
+    ASSERT_TRUE(federated.ok()) << federated.status().ToString();
+    ASSERT_TRUE(mediated.ok()) << mediated.status().ToString();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+    EXPECT_EQ(FailedNames(federated->partial), victims);
+    EXPECT_EQ(FailedNames(mediated->partial), victims);
+    EXPECT_EQ(FailedNames(served->partial), victims);
+    for (const SourceFailure& failure : mediated->partial.failed) {
+      EXPECT_EQ(failure.status.code(), StatusCode::kUnavailable);
+    }
+    // Same survivors, same per-source translations, same F over them.
+    EXPECT_EQ(Render(*mediated), Render(*served));
+    EXPECT_EQ(federated->per_member.size(),
+              static_cast<size_t>(kGatherSources) - victims.size());
+
+    EXPECT_EQ(callers->catalog.resilience()->counters().partial_results, 1u);
+    EXPECT_EQ(callers->mediator.resilience()->counters().partial_results, 1u);
+    EXPECT_EQ(callers->service->resilience()->counters().partial_results, 1u);
+  }
+}
+
+TEST(ResilientGather, MinSourcesGateFailsAllThreeCallers) {
+  ResilienceOptions resilience;
+  resilience.min_sources = kGatherSources;  // any drop is too many
+  auto callers = MakeThreeCallers(
+      [](FaultInjector& faults) { faults.FailNext("S1", 1000); }, resilience);
+  const Query q = Q("[a0 = 1] and [a2 = 3]");
+  const Status statuses[] = {callers->catalog.Query(q).status(),
+                             callers->mediator.Translate(q).status(),
+                             callers->service->Translate(q).status()};
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+    EXPECT_NE(status.ToString().find("2 of 3"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(callers->mediator.resilience()->counters().partial_results, 0u);
+}
+
+TEST(ResilientGather, PermanentFailureFailsAllThreeCallers) {
+  // A broken source is not droppable: serving a silently thinner federation
+  // would hide it.
+  auto callers = MakeThreeCallers([](FaultInjector& faults) {
+    faults.FailNext("S1", 1000, Status::InvalidArgument("broken spec"));
+  });
+  const Query q = Q("[a0 = 1] and [a2 = 3]");
+  const Status statuses[] = {callers->catalog.Query(q).status(),
+                             callers->mediator.Translate(q).status(),
+                             callers->service->Translate(q).status()};
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -72,13 +72,18 @@ Translation DummyTranslation(const std::string& text) {
   return t;
 }
 
+// Distinct typed keys for the cache unit tests; only the query third varies.
+TranslationCacheKey Key(uint64_t query) {
+  return TranslationCacheKey{/*source=*/1, /*rule_set=*/2, query};
+}
+
 TEST(TranslationCache, GetAfterPutReturnsValue) {
   TranslationCache cache({.capacity = 8, .shards = 2});
-  cache.Put("k1", DummyTranslation("v1"));
-  std::optional<Translation> hit = cache.Get("k1");
+  cache.Put(Key(1), DummyTranslation("v1"));
+  std::optional<Translation> hit = cache.Get(Key(1));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->mapped.ToString(), "[x = \"v1\"]");
-  EXPECT_FALSE(cache.Get("k2").has_value());
+  EXPECT_FALSE(cache.Get(Key(2)).has_value());
   TranslationCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -88,23 +93,23 @@ TEST(TranslationCache, GetAfterPutReturnsValue) {
 TEST(TranslationCache, EvictsLeastRecentlyUsed) {
   // Single shard so LRU order is global.
   TranslationCache cache({.capacity = 2, .shards = 1});
-  cache.Put("a", DummyTranslation("a"));
-  cache.Put("b", DummyTranslation("b"));
-  ASSERT_TRUE(cache.Get("a").has_value());  // refresh a; b is now LRU
-  cache.Put("c", DummyTranslation("c"));    // evicts b
+  cache.Put(Key(3), DummyTranslation("a"));
+  cache.Put(Key(4), DummyTranslation("b"));
+  ASSERT_TRUE(cache.Get(Key(3)).has_value());  // refresh a; b is now LRU
+  cache.Put(Key(5), DummyTranslation("c"));    // evicts b (Key(4))
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
+  EXPECT_FALSE(cache.Get(Key(4)).has_value());
+  EXPECT_TRUE(cache.Get(Key(3)).has_value());
+  EXPECT_TRUE(cache.Get(Key(5)).has_value());
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(TranslationCache, PutOverwritesExistingKey) {
   TranslationCache cache({.capacity = 4, .shards = 1});
-  cache.Put("k", DummyTranslation("old"));
-  cache.Put("k", DummyTranslation("new"));
+  cache.Put(Key(6), DummyTranslation("old"));
+  cache.Put(Key(6), DummyTranslation("new"));
   EXPECT_EQ(cache.size(), 1u);
-  std::optional<Translation> hit = cache.Get("k");
+  std::optional<Translation> hit = cache.Get(Key(6));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->mapped.ToString(), "[x = \"new\"]");
 }
@@ -113,9 +118,9 @@ TEST(TranslationCache, CountsExistingKeyUpdatesSeparately) {
   TranslationCache cache({.capacity = 4, .shards = 1});
   MetricsRegistry registry;
   cache.AttachMetrics(&registry);
-  cache.Put("k", DummyTranslation("v1"));
-  cache.Put("k", DummyTranslation("v2"));
-  cache.Put("other", DummyTranslation("x"));
+  cache.Put(Key(6), DummyTranslation("v1"));
+  cache.Put(Key(6), DummyTranslation("v2"));
+  cache.Put(Key(7), DummyTranslation("x"));
   TranslationCacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 2u);
   EXPECT_EQ(stats.updates, 1u);
@@ -131,22 +136,22 @@ TEST(TranslationCache, DetachMetricsIfOnlySeversTheAttachedRegistry) {
   cache.AttachMetrics(&current);
   // A stale owner's detach must not clobber the live attachment...
   cache.DetachMetricsIf(&stale);
-  cache.Put("k", DummyTranslation("v"));
+  cache.Put(Key(6), DummyTranslation("v"));
   EXPECT_EQ(current.counter("qmap_cache_insertions_total").value(), 1u);
   // ...while the real owner's detach severs it before the registry dies.
   cache.DetachMetricsIf(&current);
-  cache.Put("k2", DummyTranslation("v2"));
+  cache.Put(Key(2), DummyTranslation("v2"));
   EXPECT_EQ(current.counter("qmap_cache_insertions_total").value(), 1u);
   EXPECT_EQ(cache.stats().insertions, 2u);
 }
 
 TEST(TranslationCache, ClearDropsEntriesKeepsCounters) {
   TranslationCache cache({.capacity = 8, .shards = 4});
-  cache.Put("a", DummyTranslation("a"));
-  ASSERT_TRUE(cache.Get("a").has_value());
+  cache.Put(Key(3), DummyTranslation("a"));
+  ASSERT_TRUE(cache.Get(Key(3)).has_value());
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Get("a").has_value());
+  EXPECT_FALSE(cache.Get(Key(3)).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
