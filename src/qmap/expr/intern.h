@@ -11,33 +11,38 @@ class MetricsRegistry;
 ///
 /// When interning is enabled (the default), Query::True/Leaf/And/Or and the
 /// constraint interner canonicalize every node at construction against a
-/// process-wide table: one shared node per distinct subtree, so pointer
+/// process-wide table: one shared node per distinct live subtree, so pointer
 /// equality coincides with structural equality and every node carries a
-/// precomputed 64-bit fingerprint. The tables live for the process lifetime
-/// and are never evicted; entries are verified exactly
-/// on fingerprint-bucket hits, so interning itself is collision-proof.
+/// precomputed 64-bit fingerprint. Entries are verified exactly on
+/// fingerprint-bucket hits, so interning itself is collision-proof.
 ///
-/// Set the QMAP_DISABLE_INTERN environment variable (any value, checked once
-/// at first use) or call SetQueryInternEnabled(false) to construct plain
-/// un-interned nodes instead — used by the A/B benchmarks and the
-/// equivalence tests. Fingerprints are computed either way; only sharing and
-/// the pointer-equality guarantee are affected. The toggle is not
-/// thread-safe against concurrent query construction.
+/// The tables hold each entry only while something outside them references
+/// it. They are sharded by fingerprint, and every insert also sweeps a few
+/// buckets of its shard, freeing the entries nothing else references any
+/// more; a stream of distinct queries therefore leaves a bounded table.
+/// Lookups that find an existing node never sweep.
+///
+/// SetQueryInternEnabled(false) constructs plain un-interned nodes instead —
+/// the oracle side of the equivalence tests. Fingerprints are computed
+/// either way; only sharing and the pointer-equality guarantee are affected.
+/// The toggle is not thread-safe against concurrent query construction.
 
-/// Cumulative statistics of the process-wide intern tables.
+/// Statistics of the process-wide intern tables.
 struct InternStats {
   uint64_t query_hits = 0;        // constructions resolved to an existing node
   uint64_t query_misses = 0;      // constructions that inserted a new node
-  uint64_t query_nodes = 0;       // distinct nodes currently in the table
+  uint64_t query_nodes = 0;       // query nodes ever inserted (monotonic)
+  uint64_t query_live = 0;        // query nodes currently in the table
   uint64_t constraint_hits = 0;   // leaf constraints resolved to existing
   uint64_t constraint_misses = 0; // leaf constraints newly interned
-  uint64_t constraint_nodes = 0;  // distinct constraints currently in table
+  uint64_t constraint_nodes = 0;  // constraints ever inserted (monotonic)
+  uint64_t constraint_live = 0;   // constraints currently in the table
 };
 
 InternStats QueryInternStats();
 
-/// Programmatic override of the QMAP_DISABLE_INTERN toggle (tests and A/B
-/// benchmark runs). Not thread-safe against concurrent query construction.
+/// Turns interning on or off (tests use it to build the un-interned oracle).
+/// Not thread-safe against concurrent query construction.
 void SetQueryInternEnabled(bool enabled);
 bool QueryInternEnabled();
 

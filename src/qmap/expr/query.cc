@@ -1,12 +1,14 @@
 #include "qmap/expr/query.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "qmap/common/fnv.h"
 #include "qmap/expr/intern.h"
@@ -39,22 +41,99 @@ uint64_t BranchFingerprint(NodeKind kind, const std::vector<Query>& children) {
 }
 
 bool& InternFlag() {
-  static bool enabled = std::getenv("QMAP_DISABLE_INTERN") == nullptr;
+  static bool enabled = true;
   return enabled;
 }
 
-}  // namespace
-}  // namespace qmap
+// One hash-cons table, split into 16 shards by the top 4 bits of the
+// fingerprint (std::hash<uint64_t> is the identity, so the buckets inside a
+// shard already use the low bits). Lookups take their shard's lock shared;
+// an insert takes it exclusively and also sweeps the next kSweepBuckets
+// buckets of that shard, erasing every entry only the table still owns.
+//
+// Why a use count of 1 under the exclusive lock means the entry is dead: a
+// new reference can come only from a lookup in this shard, which needs the
+// lock, or from copying a handle someone already holds, which would make the
+// count at least 2. Dropping the table's reference is then the final
+// release. Destroying an entry only releases its children and constraint,
+// which the table still owns, so it never re-enters a table; a freed
+// parent's children become collectable when the hand next reaches them.
+template <typename T>
+class InternTable {
+ public:
+  using Entry = std::shared_ptr<const T>;
 
-namespace qmap {
-namespace {
+  // Returns the entry in `fp`'s bucket for which `same(entry)` holds, or
+  // inserts `make()`. `*inserted` reports which happened.
+  template <typename Same, typename Make>
+  Entry Intern(uint64_t fp, const Same& same, const Make& make,
+               bool* inserted) {
+    Shard& shard = shards_[fp >> (64 - kShardBits)];
+    *inserted = false;
+    {
+      std::shared_lock<std::shared_mutex> lock(shard.mu);
+      if (const Entry* found = Find(shard, fp, same)) return *found;
+    }
+    std::unique_lock<std::shared_mutex> lock(shard.mu);
+    if (const Entry* found = Find(shard, fp, same)) return *found;
+    Sweep(shard);
+    Entry owned = make();
+    shard.entries[fp].push_back(owned);
+    live_.fetch_add(1, std::memory_order_relaxed);
+    *inserted = true;
+    return owned;
+  }
 
-// Process-wide hash-cons tables (DESIGN.md §9). Both tables bucket by 64-bit
-// fingerprint and verify bucket candidates exactly, so interning never
-// conflates distinct structures even under a fingerprint collision. Entries
-// are retained for the process lifetime (leaky static);
-// there is no eviction, which is what makes the canonical-pointer guarantee
-// sound without generation counters.
+  // Entries currently resident, across all shards.
+  uint64_t live() const { return live_.load(std::memory_order_relaxed); }
+
+ private:
+  static constexpr int kShardBits = 4;
+  static constexpr size_t kSweepBuckets = 4;
+
+  struct alignas(64) Shard {
+    std::shared_mutex mu;
+    std::unordered_map<uint64_t, std::vector<Entry>> entries;
+    size_t hand = 0;  // next bucket to sweep
+  };
+
+  template <typename Same>
+  static const Entry* Find(const Shard& shard, uint64_t fp, const Same& same) {
+    auto it = shard.entries.find(fp);
+    if (it == shard.entries.end()) return nullptr;
+    for (const Entry& candidate : it->second) {
+      if (same(*candidate)) return &candidate;
+    }
+    return nullptr;
+  }
+
+  // Requires the shard's exclusive lock.
+  void Sweep(Shard& shard) {
+    auto& map = shard.entries;
+    size_t freed = 0;
+    for (size_t i = 0; i < kSweepBuckets; ++i) {
+      const size_t bucket = shard.hand % map.bucket_count();
+      shard.hand = bucket + 1;
+      for (auto it = map.begin(bucket); it != map.end(bucket);) {
+        const auto cur = it++;  // erasing *cur leaves `it` valid
+        freed += std::erase_if(
+            cur->second, [](const Entry& e) { return e.use_count() == 1; });
+        if (cur->second.empty()) map.erase(uint64_t{cur->first});
+      }
+    }
+    if (freed > 0) live_.fetch_sub(freed, std::memory_order_relaxed);
+  }
+
+  std::array<Shard, size_t{1} << kShardBits> shards_;
+  std::atomic<uint64_t> live_{0};
+};
+
+// The process-wide query-node and constraint tables (DESIGN.md §9). Both
+// bucket by 64-bit fingerprint and verify bucket candidates exactly, so
+// interning never conflates distinct structures even under a fingerprint
+// collision. An entry stays while anything outside the table references
+// it, so two live handles to equal structures always share one node; once
+// its last handle drops, a later insert into its shard sweeps it away.
 class InternTables {
  public:
   static InternTables& Global() {
@@ -64,27 +143,17 @@ class InternTables {
 
   std::shared_ptr<const Constraint> InternConstraint(Constraint c,
                                                      uint64_t fp) {
-    {
-      std::shared_lock<std::shared_mutex> lock(cmu_);
-      if (const auto* found = FindConstraint(fp, c)) {
-        BumpConstraintHit();
-        return *found;
-      }
+    bool inserted = false;
+    auto interned = constraints_.Intern(
+        fp, [&](const Constraint& entry) { return SamePrintedForm(entry, c); },
+        [&] { return std::make_shared<const Constraint>(std::move(c)); },
+        &inserted);
+    if (inserted) {
+      Bump(constraint_misses_, constraint_nodes_counter_);
+    } else {
+      Bump(constraint_hits_, constraint_hits_counter_);
     }
-    std::unique_lock<std::shared_mutex> lock(cmu_);
-    if (const auto* found = FindConstraint(fp, c)) {
-      BumpConstraintHit();
-      return *found;
-    }
-    auto owned = std::make_shared<const Constraint>(std::move(c));
-    constraints_[fp].push_back(owned);
-    constraint_misses_.fetch_add(1, std::memory_order_relaxed);
-    constraint_nodes_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter =
-            constraint_nodes_counter_.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-    return owned;
+    return interned;
   }
 
   // `candidate` must already have canonical (interned) children and, for
@@ -92,39 +161,33 @@ class InternTables {
   // comparison.
   std::shared_ptr<const Query::Node> InternNode(
       std::shared_ptr<Query::Node> candidate) {
-    const uint64_t fp = candidate->fingerprint;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      if (const auto* found = FindNode(fp, *candidate)) {
-        BumpQueryHit();
-        return *found;
-      }
+    bool inserted = false;
+    auto interned = nodes_.Intern(
+        candidate->fingerprint,
+        [&](const Query::Node& entry) { return SameNode(entry, *candidate); },
+        [&] {
+          candidate->interned = true;
+          return std::shared_ptr<const Query::Node>(std::move(candidate));
+        },
+        &inserted);
+    if (inserted) {
+      Bump(query_misses_, query_nodes_counter_);
+    } else {
+      Bump(query_hits_, query_hits_counter_);
     }
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    if (const auto* found = FindNode(fp, *candidate)) {
-      BumpQueryHit();
-      return *found;
-    }
-    candidate->interned = true;
-    std::shared_ptr<const Query::Node> owned = std::move(candidate);
-    nodes_[fp].push_back(owned);
-    query_misses_.fetch_add(1, std::memory_order_relaxed);
-    query_nodes_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter =
-            query_nodes_counter_.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-    return owned;
+    return interned;
   }
 
   InternStats Stats() const {
     InternStats s;
     s.query_hits = query_hits_.load(std::memory_order_relaxed);
     s.query_misses = query_misses_.load(std::memory_order_relaxed);
-    s.query_nodes = query_nodes_.load(std::memory_order_relaxed);
+    s.query_nodes = s.query_misses;
+    s.query_live = nodes_.live();
     s.constraint_hits = constraint_hits_.load(std::memory_order_relaxed);
     s.constraint_misses = constraint_misses_.load(std::memory_order_relaxed);
-    s.constraint_nodes = constraint_nodes_.load(std::memory_order_relaxed);
+    s.constraint_nodes = s.constraint_misses;
+    s.constraint_live = constraints_.live();
     return s;
   }
 
@@ -169,67 +232,35 @@ class InternTables {
   }
 
  private:
-  const std::shared_ptr<const Constraint>* FindConstraint(
-      uint64_t fp, const Constraint& c) const {
-    auto it = constraints_.find(fp);
-    if (it == constraints_.end()) return nullptr;
-    for (const auto& candidate : it->second) {
-      if (SamePrintedForm(*candidate, c)) return &candidate;
+  // Both nodes' children (and leaf constraints) are live canonical handles,
+  // so comparing their addresses is exact.
+  static bool SameNode(const Query::Node& a, const Query::Node& b) {
+    if (a.kind != b.kind) return false;
+    if (a.kind == NodeKind::kLeaf) return a.constraint == b.constraint;
+    if (a.children.size() != b.children.size()) return false;
+    for (size_t i = 0; i < a.children.size(); ++i) {
+      if (a.children[i].identity() != b.children[i].identity()) return false;
     }
-    return nullptr;
+    return true;
   }
 
-  const std::shared_ptr<const Query::Node>* FindNode(
-      uint64_t fp, const Query::Node& node) const {
-    auto it = nodes_.find(fp);
-    if (it == nodes_.end()) return nullptr;
-    for (const auto& candidate : it->second) {
-      if (candidate->kind != node.kind) continue;
-      if (node.kind == NodeKind::kLeaf) {
-        if (candidate->constraint == node.constraint) return &candidate;
-        continue;
-      }
-      if (candidate->children.size() != node.children.size()) continue;
-      bool same = true;
-      for (size_t i = 0; i < node.children.size(); ++i) {
-        if (candidate->children[i].identity() != node.children[i].identity()) {
-          same = false;
-          break;
-        }
-      }
-      if (same) return &candidate;
-    }
-    return nullptr;
-  }
-
-  void BumpQueryHit() {
-    query_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter = query_hits_counter_.load(std::memory_order_acquire)) {
+  // Counts one intern-table outcome and mirrors it into the attached
+  // registry, if any.
+  static void Bump(std::atomic<uint64_t>& total,
+                   const std::atomic<Counter*>& counter_slot) {
+    total.fetch_add(1, std::memory_order_relaxed);
+    if (Counter* counter = counter_slot.load(std::memory_order_acquire)) {
       counter->Inc();
     }
   }
 
-  void BumpConstraintHit() {
-    constraint_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter =
-            constraint_hits_counter_.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-  }
-
-  mutable std::shared_mutex mu_;   // guards nodes_
-  mutable std::shared_mutex cmu_;  // guards constraints_
-  std::unordered_map<uint64_t, std::vector<std::shared_ptr<const Query::Node>>>
-      nodes_;
-  std::unordered_map<uint64_t, std::vector<std::shared_ptr<const Constraint>>>
-      constraints_;
+  InternTable<Query::Node> nodes_;
+  InternTable<Constraint> constraints_;
 
   std::atomic<uint64_t> query_hits_{0};
   std::atomic<uint64_t> query_misses_{0};
-  std::atomic<uint64_t> query_nodes_{0};
   std::atomic<uint64_t> constraint_hits_{0};
   std::atomic<uint64_t> constraint_misses_{0};
-  std::atomic<uint64_t> constraint_nodes_{0};
 
   std::mutex attach_mu_;
   MetricsRegistry* attached_registry_ = nullptr;

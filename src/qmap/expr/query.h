@@ -61,6 +61,9 @@ class Query {
 
   /// The address of the underlying shared node. When both queries were built
   /// with interning enabled, equal identity() ⇔ StructurallyEquals.
+  /// Only meaningful between live handles: once a node's last handle drops,
+  /// the intern table may free it and a later node may reuse its address, so
+  /// never keep an identity() without also keeping its Query.
   const void* identity() const { return node_.get(); }
 
   /// True if the query is a *simple conjunction*: True, a leaf, or an ∧ node

@@ -984,6 +984,15 @@ void TranslationService::UpdateGauges() const {
       ->gauge("qmap_store_live_records",
               "Live records indexed by the persistent translation store.")
       .Set(store_ != nullptr ? static_cast<int64_t>(store_->num_entries()) : 0);
+  const InternStats intern = QueryInternStats();
+  metrics
+      ->gauge("qmap_intern_query_nodes_live",
+              "Query nodes resident in the process-wide intern table.")
+      .Set(static_cast<int64_t>(intern.query_live));
+  metrics
+      ->gauge("qmap_intern_constraint_nodes_live",
+              "Constraints resident in the process-wide intern table.")
+      .Set(static_cast<int64_t>(intern.constraint_live));
   for (const SourceEntry& source : sources_) {
     CircuitBreaker::State state =
         resilience_ != nullptr ? resilience_->breaker_state(source.name)

@@ -19,6 +19,7 @@
 
 #include "qmap/common/version.h"
 #include "qmap/contexts/faculty.h"
+#include "qmap/expr/intern.h"
 #include "qmap/obs/admin_http.h"
 #include "qmap/obs/json.h"
 #include "qmap/obs/metrics.h"
@@ -361,6 +362,27 @@ TEST_F(ServiceAdminTest, VarzIsParseableJsonWithStatusAndMetrics) {
   ASSERT_NE(metrics->Find("gauges"), nullptr);
   // The point-in-time gauges were refreshed by the handler.
   EXPECT_NE(metrics->Find("gauges")->Find("qmap_cache_entries"), nullptr);
+}
+
+TEST_F(ServiceAdminTest, VarzReportsTheResidentInternTableSizes) {
+  // The cached translations keep interned nodes alive, so both tables hold
+  // entries; neither gauge can exceed what was ever inserted.
+  HttpResponse varz = Get(port_, "/varz");
+  ASSERT_EQ(varz.status, 200);
+  Result<JsonValue> root = ParseJson(varz.body);
+  ASSERT_TRUE(root.ok()) << root.status().ToString() << "\n" << varz.body;
+  const JsonValue* gauges = root->Find("metrics")->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const InternStats stats = QueryInternStats();
+  const JsonValue* query_live = gauges->Find("qmap_intern_query_nodes_live");
+  ASSERT_NE(query_live, nullptr);
+  EXPECT_GT(query_live->number, 0u);
+  EXPECT_LE(query_live->number, stats.query_nodes);
+  const JsonValue* constraint_live =
+      gauges->Find("qmap_intern_constraint_nodes_live");
+  ASSERT_NE(constraint_live, nullptr);
+  EXPECT_GT(constraint_live->number, 0u);
+  EXPECT_LE(constraint_live->number, stats.constraint_nodes);
 }
 
 TEST_F(ServiceAdminTest, MetricsExpositionIsMonotoneWithInfEqualToCount) {

@@ -1,6 +1,7 @@
 // Tests for the hash-consed query IR (DESIGN.md §9): interned node identity,
-// fingerprint semantics, the QMAP_DISABLE_INTERN toggle, intern-table stats
-// and metrics, and the fingerprint-keyed cache key types.
+// fingerprint semantics, the SetQueryInternEnabled toggle, intern-table stats
+// and metrics, reclamation of unreferenced entries, and the fingerprint-keyed
+// cache key types.
 //
 // The headline properties, randomized over synthetic queries:
 //   1. Under canonical construction, fingerprints are equal iff the queries
@@ -15,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qmap/contexts/synthetic.h"
@@ -235,6 +238,96 @@ TEST(TranslationCacheKeyTest, TypedAndStringPathsCoexist) {
   EXPECT_EQ(stats.hits, std::size(keys));
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.updates, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Reclamation: the tables keep an entry only while something else holds it.
+
+// Rebuilds `q` bottom-up through the public constructors, from copies of its
+// constraints, so the result shares nothing with `q` but what interning
+// finds in the tables.
+Query Rebuild(const Query& q) {
+  if (q.is_true()) return Query::True();
+  if (q.is_leaf()) return Query::Leaf(Constraint(q.constraint()));
+  std::vector<Query> children;
+  for (const Query& child : q.children()) children.push_back(Rebuild(child));
+  return q.kind() == NodeKind::kAnd ? Query::And(std::move(children))
+                                    : Query::Or(std::move(children));
+}
+
+// Structural equality by a full walk, without the pointer shortcut that
+// StructurallyEquals takes for two interned nodes.
+bool DeepEquals(const Query& a, const Query& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.is_leaf()) return SamePrintedForm(a.constraint(), b.constraint());
+  if (a.children().size() != b.children().size()) return false;
+  for (size_t i = 0; i < a.children().size(); ++i) {
+    if (!DeepEquals(a.children()[i], b.children()[i])) return false;
+  }
+  return true;
+}
+
+TEST(InternReclaim, ConcurrentBuildersKeepOneNodePerStructure) {
+  // Four threads build structures from one small vocabulary, so they race
+  // on the same entries. Every other query also carries a nonce leaf, so
+  // every shard keeps inserting and sweeping. Each thread keeps a sliding
+  // window of live handles; everything else it builds dies at once.
+  InternToggle on(true);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4000;
+  constexpr size_t kWindow = 32;
+  const InternStats before = QueryInternStats();
+  std::vector<std::deque<Query>> windows(kThreads);
+  std::vector<int> rebuild_mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(7919 * (t + 1)));
+      const RandomQueryOptions shared{.num_attrs = 3, .num_values = 2};
+      std::deque<Query>& window = windows[t];
+      for (int round = 0; round < kRounds; ++round) {
+        Query q = RandomQuery(rng, shared);
+        if (round % 2 == 1) {
+          const Value nonce = Value::Int(t * kRounds + round);
+          q = Query::And(
+              {q, Query::Leaf(MakeSel(Attr::Simple("nonce"), Op::kEq, nonce))});
+        }
+        window.push_back(std::move(q));
+        if (window.size() > kWindow) window.pop_front();
+        // Every kept handle rebuilds to the node it holds.
+        const Query& kept = window[rng() % window.size()];
+        if (Rebuild(kept).identity() != kept.identity()) {
+          ++rebuild_mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(rebuild_mismatches[t], 0) << "thread " << t;
+  }
+  // Across threads, live handles share a node exactly when their
+  // structures are equal.
+  std::vector<Query> live;
+  for (const std::deque<Query>& window : windows) {
+    live.insert(live.end(), window.begin(), window.end());
+  }
+  size_t shared_pairs = 0;
+  for (size_t i = 0; i < live.size(); ++i) {
+    for (size_t j = i + 1; j < live.size(); ++j) {
+      const bool same_node = live[i].identity() == live[j].identity();
+      EXPECT_EQ(same_node, DeepEquals(live[i], live[j]))
+          << live[i].ToString() << " vs " << live[j].ToString();
+      shared_pairs += same_node ? 1 : 0;
+    }
+  }
+  EXPECT_GT(shared_pairs, 0u);
+  // The run inserted far more entries than stayed resident.
+  const InternStats after = QueryInternStats();
+  const uint64_t inserted = after.query_nodes - before.query_nodes;
+  EXPECT_GT(inserted, static_cast<uint64_t>(kThreads * kRounds / 2));
+  EXPECT_LT(after.query_live, before.query_live + inserted / 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include "qmap/contexts/faculty.h"
 #include "qmap/contexts/synthetic.h"
+#include "qmap/expr/intern.h"
 #include "qmap/expr/printer.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/obs/trace.h"
@@ -514,6 +515,45 @@ TEST(TranslationService, EvictionsAreCountedExactlyPerRequest) {
   }
   EXPECT_EQ(reported, service->stats().cache.evictions - evictions_before);
   EXPECT_GT(reported, 0u);
+}
+
+TEST(TranslationService, DistinctQueriesLeaveABoundedInternTable) {
+  // Every query is distinct through its nonce leaf, and nothing keeps it
+  // once its translation leaves the 64-entry cache. Without reclamation the
+  // intern tables keep every novel node (about 15 per query); with it, the
+  // live size levels off.
+  auto service = MakeService(/*num_threads=*/2, /*enable_cache=*/true,
+                             /*cache_capacity=*/64);
+  const std::string held_text = "([a1 = 1] or [a2 = 2]) and [a3 = 3]";
+  const Query held = Q(held_text);
+  constexpr int kN = 2000;
+  std::mt19937 rng(20261017);
+  const RandomQueryOptions shape{.max_depth = 2};
+  int64_t nonce = 1000000;
+  auto translate_novel = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      Query q = Query::And(
+          {RandomQuery(rng, shape),
+           Query::Leaf(MakeSel(Attr::Simple("a0"), Op::kEq,
+                               Value::Int(nonce++)))});
+      ASSERT_TRUE(service->Translate(q).ok()) << q.ToString();
+    }
+  };
+  translate_novel(kN);
+  const InternStats after_n = QueryInternStats();
+  translate_novel(3 * kN);
+  const InternStats after_4n = QueryInternStats();
+
+  EXPECT_GT(after_4n.query_nodes - after_n.query_nodes,
+            static_cast<uint64_t>(3 * kN));
+  EXPECT_LE(after_4n.query_live, after_n.query_live * 3 / 2)
+      << "live after N: " << after_n.query_live
+      << ", after 4N: " << after_4n.query_live;
+  EXPECT_LE(after_4n.constraint_live, after_n.constraint_live * 3 / 2)
+      << "live after N: " << after_n.constraint_live
+      << ", after 4N: " << after_4n.constraint_live;
+  // A node someone still holds is never reclaimed: rebuilding it finds it.
+  EXPECT_EQ(Q(held_text).identity(), held.identity());
 }
 
 TEST(TranslationService, EmptyBatchIsOk) {
