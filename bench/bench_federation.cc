@@ -11,7 +11,10 @@
 // reported as counters (averaged across client threads). The `identical`
 // counter asserts once per process that in-process and remote renders are
 // byte-for-byte equal on the workload — a transport must never change the
-// translation.
+// translation. The remote rows' `rpcs_per_translate` counter pins the round
+// trips: one pass of the workload through a fresh front-end (cache off),
+// WireClient calls per Translate. All four sources live on one worker, so
+// it reads 1 — one call per worker per request, not one per source.
 //
 // WireCall_CatalogRoundTrip isolates the floor: one pooled connection, one
 // tiny request frame, one reply, no translation work.
@@ -101,6 +104,20 @@ struct RemoteFixture {
   std::unique_ptr<qmap::TranslationService> frontend;
 };
 
+/// A cache-off front-end with every source of `worker` behind a
+/// RemoteTransport to `endpoint` over `client`.
+std::unique_ptr<qmap::TranslationService> RemoteFrontEnd(
+    const qmap::TranslationService& worker, const std::string& endpoint,
+    const std::shared_ptr<qmap::WireClient>& client) {
+  auto frontend = std::make_unique<qmap::TranslationService>(FrontEndOptions());
+  for (const auto& entry : worker.SourceCatalog()) {
+    frontend->AddRemoteSource(
+        entry.name, entry.rule_set_fp,
+        std::make_shared<qmap::RemoteTransport>(entry.name, endpoint, client));
+  }
+  return frontend;
+}
+
 RemoteFixture& Remote() {
   static RemoteFixture* fixture = [] {
     auto* f = new RemoteFixture();
@@ -118,14 +135,7 @@ RemoteFixture& Remote() {
     const std::string endpoint =
         "127.0.0.1:" + std::to_string(f->server->port());
     f->client = std::make_shared<qmap::WireClient>();
-    f->frontend =
-        std::make_unique<qmap::TranslationService>(FrontEndOptions());
-    for (const auto& entry : f->worker->SourceCatalog()) {
-      f->frontend->AddRemoteSource(
-          entry.name, entry.rule_set_fp,
-          std::make_shared<qmap::RemoteTransport>(entry.name, endpoint,
-                                                  f->client));
-    }
+    f->frontend = RemoteFrontEnd(*f->worker, endpoint, f->client);
     return f;
   }();
   return *fixture;
@@ -153,6 +163,25 @@ double TransportsIdentical() {
     return 1.0;
   }();
   return identical;
+}
+
+// WireClient calls per Translate over one pass of the workload, through a
+// front-end of its own (cache off) so no other client's calls are counted.
+// Measured once per process; the result is cached.
+double RpcsPerTranslate() {
+  static const double rpcs = [] {
+    const std::string endpoint =
+        "127.0.0.1:" + std::to_string(Remote().server->port());
+    auto client = std::make_shared<qmap::WireClient>();
+    auto frontend = RemoteFrontEnd(*Remote().worker, endpoint, client);
+    const std::vector<qmap::Query> workload = Workload();
+    for (const qmap::Query& q : workload) {
+      if (!frontend->Translate(q).ok()) return 0.0;
+    }
+    return static_cast<double>(client->stats().calls) /
+           static_cast<double>(workload.size());
+  }();
+  return rpcs;
 }
 
 double PercentileUs(std::vector<double>& samples_us, double p) {
@@ -204,6 +233,8 @@ BENCHMARK(FederatedTranslate_InProcess)
 
 void FederatedTranslate_RemoteLoopback(benchmark::State& state) {
   RunClients(state, *Remote().frontend);
+  state.counters["rpcs_per_translate"] = benchmark::Counter(
+      RpcsPerTranslate(), benchmark::Counter::kAvgThreads);
 }
 BENCHMARK(FederatedTranslate_RemoteLoopback)
     ->Threads(1)

@@ -98,12 +98,14 @@ EventLoopStats EventLoop::stats() const {
 void EventLoop::CloseConn(size_t index, bool flushed) {
   Conn& conn = *conns_[index];
   handler_->OnClose(conn);
-  close(conn.fd_);
+  // Count before closing: a peer that sees EOF and then reads the stats
+  // must find its connection counted.
   if (flushed) {
     flushed_closes_.fetch_add(1, std::memory_order_relaxed);
   } else {
     error_closes_.fetch_add(1, std::memory_order_relaxed);
   }
+  close(conn.fd_);
   conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(index));
 }
 

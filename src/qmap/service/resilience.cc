@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -257,13 +258,16 @@ ResilienceManager::ResilienceManager(ResilienceOptions options,
   }
 }
 
-CircuitBreaker& ResilienceManager::BreakerFor(const std::string& source) {
+CircuitBreaker& ResilienceManager::BreakerFor(std::string_view source) {
   std::lock_guard<std::mutex> lock(breakers_mu_);
-  std::unique_ptr<CircuitBreaker>& slot = breakers_[source];
-  if (slot == nullptr) {
-    slot = std::make_unique<CircuitBreaker>(options_.breaker);
+  auto it = breakers_.find(source);
+  if (it == breakers_.end()) {
+    it = breakers_
+             .emplace(std::string(source),
+                      std::make_unique<CircuitBreaker>(options_.breaker))
+             .first;
   }
-  return *slot;
+  return *it->second;
 }
 
 void ResilienceManager::NoteBreakerEvent(BreakerEvent event) {
@@ -292,106 +296,200 @@ Result<Translation> ResilienceManager::GuardedTranslate(
     const std::function<Result<Translation>()>& attempt, CallReport* report,
     Trace* trace, uint64_t parent_span) {
   CallReport local_report;
-  if (report == nullptr) report = &local_report;
-  *report = CallReport{};
+  const std::string_view name = source;
+  std::vector<Result<Translation>> out = GuardedTranslateGroup(
+      std::span(&name, 1), original, cancel,
+      [&attempt](std::span<const size_t>) {
+        std::vector<Result<Translation>> one;
+        one.push_back(attempt());
+        return one;
+      },
+      std::span(report != nullptr ? report : &local_report, 1), trace,
+      parent_span);
+  return std::move(out.front());
+}
 
-  const auto fail = [&](Status status) -> Result<Translation> {
+namespace {
+
+const char* FaultName(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kFail: return "fail";
+    case FaultKind::kStall: return "stall";
+    case FaultKind::kDegrade: return "degrade";
+    case FaultKind::kNone: return "none";
+  }
+  return "none";
+}
+
+}  // namespace
+
+std::vector<Result<Translation>> ResilienceManager::GuardedTranslateGroup(
+    std::span<const std::string_view> sources, const Query& original,
+    const CancelToken* cancel, const GroupAttempt& attempt,
+    std::span<CallReport> reports, Trace* trace, uint64_t parent_span) {
+  // Per-source state across rounds.
+  struct Member {
+    CircuitBreaker* breaker = nullptr;
+    Fault fault;                                  // this round's draw
+    std::optional<Result<Translation>> outcome;   // this round's
+    std::optional<Result<Translation>> result;    // final
+  };
+  const size_t n = sources.size();
+  std::vector<Member> members(n);
+  for (size_t k = 0; k < n; ++k) {
+    reports[k] = CallReport{};
+    members[k].breaker = &BreakerFor(sources[k]);
+  }
+  const auto quoted = [&](size_t k) {
+    return "'" + std::string(sources[k]) + "'";
+  };
+  const auto fail = [&](size_t k, Status status) {
     source_failures_.fetch_add(1, std::memory_order_relaxed);
     if (failures_counter_ != nullptr) failures_counter_->Inc();
-    return status;
+    members[k].result.emplace(std::move(status));
+  };
+  const auto note_deadline = [&](size_t k) {
+    reports[k].deadline_hit = true;
+    deadline_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (deadline_counter_ != nullptr) deadline_counter_->Inc();
   };
 
   uint64_t now = clock_->NowUs();
   const DeadlineBudget budget =
       (cancel != nullptr ? cancel->budget : DeadlineBudget{})
           .Narrowed(now, options_.source_deadline_us);
-  CircuitBreaker& breaker = BreakerFor(source);
   const int max_attempts = std::max(1, options_.retry.max_attempts);
   uint64_t prev_backoff_us = options_.retry.initial_backoff_us;
 
-  for (int try_no = 1;; ++try_no) {
+  std::vector<size_t> pending(n);
+  for (size_t k = 0; k < n; ++k) pending[k] = k;
+  std::vector<size_t> tried;   // passed the checks this round
+  std::vector<size_t> joined;  // of those, the ones the call carries
+  for (int try_no = 1; !pending.empty(); ++try_no) {
     now = clock_->NowUs();
-    if (cancel != nullptr &&
-        cancel->cancelled.load(std::memory_order_relaxed)) {
-      return fail(Status::Cancelled("request cancelled before translating '" +
-                                    source + "'"));
+    tried.clear();
+    for (size_t k : pending) {
+      if (cancel != nullptr &&
+          cancel->cancelled.load(std::memory_order_relaxed)) {
+        fail(k, Status::Cancelled("request cancelled before translating " +
+                                  quoted(k)));
+        continue;
+      }
+      if (budget.expired(now)) {
+        note_deadline(k);
+        fail(k, Status::DeadlineExceeded(
+                    "deadline exceeded before attempt " +
+                    std::to_string(try_no) + " for source " + quoted(k)));
+        continue;
+      }
+      BreakerEvent allow_event = BreakerEvent::kNone;
+      if (!members[k].breaker->Allow(now, &allow_event)) {
+        reports[k].breaker_rejected = true;
+        breaker_rejections_.fetch_add(1, std::memory_order_relaxed);
+        if (rejections_counter_ != nullptr) rejections_counter_->Inc();
+        fail(k, Status::Unavailable("circuit breaker open for source " +
+                                    quoted(k)));
+        continue;
+      }
+      NoteBreakerEvent(allow_event);
+      ++reports[k].attempts;
+      tried.push_back(k);
     }
-    if (budget.expired(now)) {
-      report->deadline_hit = true;
-      deadline_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (deadline_counter_ != nullptr) deadline_counter_->Inc();
-      return fail(Status::DeadlineExceeded(
-          "deadline exceeded before attempt " + std::to_string(try_no) +
-          " for source '" + source + "'"));
-    }
-    BreakerEvent allow_event = BreakerEvent::kNone;
-    if (!breaker.Allow(now, &allow_event)) {
-      report->breaker_rejected = true;
-      breaker_rejections_.fetch_add(1, std::memory_order_relaxed);
-      if (rejections_counter_ != nullptr) rejections_counter_->Inc();
-      return fail(Status::Unavailable("circuit breaker open for source '" +
-                                      source + "'"));
-    }
-    NoteBreakerEvent(allow_event);
-    ++report->attempts;
+    if (tried.empty()) break;
 
-    const auto run_once = [&]() -> Result<Translation> {
+    {
       Span attempt_span(trace, "retry.attempt", parent_span);
-      if (attempt_span.enabled()) {
-        attempt_span.AddAttr("source", source);
-        attempt_span.AddAttr("attempt", std::to_string(try_no));
-      }
-      Fault fault = injector_ != nullptr ? injector_->Next(source) : Fault{};
-      if (fault.kind != FaultKind::kNone && injected_counter_ != nullptr) {
-        injected_counter_->Inc();
-      }
-      switch (fault.kind) {
-        case FaultKind::kFail:
-          if (attempt_span.enabled()) attempt_span.AddAttr("fault", "fail");
-          return fault.status.ok()
-                     ? Status::Unavailable("injected fault for '" + source + "'")
-                     : fault.status;
-        case FaultKind::kStall: {
-          if (attempt_span.enabled()) attempt_span.AddAttr("fault", "stall");
-          clock_->SleepUs(fault.stall_us);
-          if (budget.expired(clock_->NowUs())) {
-            return Status::DeadlineExceeded("source '" + source +
-                                            "' stalled past its deadline");
+      joined.clear();
+      uint64_t stall_us = 0;
+      std::string names, faults;
+      for (size_t k : tried) {
+        Member& m = members[k];
+        m.fault = injector_ != nullptr
+                      ? injector_->Next(std::string(sources[k]))
+                      : Fault{};
+        if (m.fault.kind != FaultKind::kNone && injected_counter_ != nullptr) {
+          injected_counter_->Inc();
+        }
+        if (attempt_span.enabled()) {
+          if (!names.empty()) names += ",";
+          names += sources[k];
+          if (m.fault.kind != FaultKind::kNone) {
+            if (!faults.empty()) faults += ",";
+            if (n > 1) faults += std::string(sources[k]) + "=";
+            faults += FaultName(m.fault.kind);
           }
-          return attempt();
         }
-        case FaultKind::kDegrade: {
-          if (attempt_span.enabled()) attempt_span.AddAttr("fault", "degrade");
-          Result<Translation> real = attempt();
-          if (!real.ok()) return real;
-          report->degraded = true;
-          degraded_.fetch_add(1, std::memory_order_relaxed);
-          if (degraded_counter_ != nullptr) degraded_counter_->Inc();
-          return DegradeTranslation(original, *real, fault.degrade_level);
+        if (m.fault.kind == FaultKind::kFail) {
+          m.outcome.emplace(m.fault.status.ok()
+                                ? Status::Unavailable("injected fault for " +
+                                                      quoted(k))
+                                : m.fault.status);
+          continue;
         }
-        case FaultKind::kNone:
-          return attempt();
+        if (m.fault.kind == FaultKind::kStall) {
+          stall_us = std::max(stall_us, m.fault.stall_us);
+        }
+        joined.push_back(k);
       }
-      return attempt();  // unreachable
-    };
+      if (attempt_span.enabled()) {
+        attempt_span.AddAttr("source", std::move(names));
+        attempt_span.AddAttr("attempt", std::to_string(try_no));
+        if (!faults.empty()) attempt_span.AddAttr("fault", std::move(faults));
+      }
+      if (stall_us > 0) {
+        // The call waits for its slowest member; one budget covers it all.
+        clock_->SleepUs(stall_us);
+        if (budget.expired(clock_->NowUs())) {
+          for (size_t k : joined) {
+            members[k].outcome.emplace(Status::DeadlineExceeded(
+                members[k].fault.kind == FaultKind::kStall
+                    ? "source " + quoted(k) + " stalled past its deadline"
+                    : "source " + quoted(k) +
+                          " shared a call that stalled past its deadline"));
+          }
+          joined.clear();
+        }
+      }
+      if (!joined.empty()) {
+        std::vector<Result<Translation>> results = attempt(joined);
+        for (size_t j = 0; j < joined.size(); ++j) {
+          Member& m = members[joined[j]];
+          if (m.fault.kind == FaultKind::kDegrade && results[j].ok()) {
+            reports[joined[j]].degraded = true;
+            degraded_.fetch_add(1, std::memory_order_relaxed);
+            if (degraded_counter_ != nullptr) degraded_counter_->Inc();
+            results[j] = DegradeTranslation(original, *results[j],
+                                            m.fault.degrade_level);
+          }
+          m.outcome.emplace(std::move(results[j]));
+        }
+      }
+    }
 
-    Result<Translation> result = run_once();
     now = clock_->NowUs();
-    if (result.ok()) {
-      NoteBreakerEvent(breaker.RecordSuccess(now));
-      return result;
+    pending.clear();
+    for (size_t k : tried) {
+      Member& m = members[k];
+      Result<Translation> outcome = *std::move(m.outcome);
+      m.outcome.reset();
+      if (outcome.ok()) {
+        NoteBreakerEvent(m.breaker->RecordSuccess(now));
+        m.result.emplace(std::move(outcome));
+        continue;
+      }
+      NoteBreakerEvent(m.breaker->RecordFailure(now));
+      const StatusCode code = outcome.status().code();
+      if (code == StatusCode::kDeadlineExceeded) note_deadline(k);
+      if (code == StatusCode::kDeadlineExceeded || !IsRetryable(code) ||
+          try_no >= max_attempts) {
+        fail(k, outcome.status());
+        continue;
+      }
+      pending.push_back(k);
     }
-    NoteBreakerEvent(breaker.RecordFailure(now));
-    const StatusCode code = result.status().code();
-    if (code == StatusCode::kDeadlineExceeded) {
-      report->deadline_hit = true;
-      deadline_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (deadline_counter_ != nullptr) deadline_counter_->Inc();
-      return fail(result.status());
-    }
-    if (!IsRetryable(code) || try_no >= max_attempts) {
-      return fail(result.status());
-    }
+    if (pending.empty()) break;
+
+    // One backoff per round, for every source still pending.
     uint64_t backoff_us;
     {
       std::lock_guard<std::mutex> lock(rng_mu_);
@@ -401,7 +499,7 @@ Result<Translation> ResilienceManager::GuardedTranslate(
     }
     prev_backoff_us = backoff_us;
     // Never sleep past the budget; the expiry check at the top of the next
-    // iteration converts an exhausted budget into DeadlineExceeded.
+    // round converts an exhausted budget into DeadlineExceeded.
     if (budget.bounded()) {
       backoff_us = std::min(backoff_us, budget.remaining_us(now));
     }
@@ -413,10 +511,17 @@ Result<Translation> ResilienceManager::GuardedTranslate(
                                trace->NowNs());
       }
     }
-    ++report->retries;
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    if (retries_counter_ != nullptr) retries_counter_->Inc();
+    for (size_t k : pending) {
+      ++reports[k].retries;
+      retries_.fetch_add(1, std::memory_order_relaxed);
+      if (retries_counter_ != nullptr) retries_counter_->Inc();
+    }
   }
+
+  std::vector<Result<Translation>> out;
+  out.reserve(n);
+  for (Member& m : members) out.push_back(*std::move(m.result));
+  return out;
 }
 
 const char* CircuitBreaker::StateName(State state) {

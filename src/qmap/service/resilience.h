@@ -8,7 +8,9 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qmap/common/status.h"
@@ -284,17 +286,44 @@ class ResilienceManager {
     bool degraded = false;
   };
 
-  /// Runs `attempt` (the real per-source translation of `original`) under
-  /// the source's circuit breaker, the retry policy with decorrelated
-  /// backoff, fault injection, and the deadline budget from `cancel` (may be
-  /// null) narrowed by source_deadline_us. With a trace attached, each try
-  /// is a "retry.attempt" span under `parent_span` and each wait a
+  /// The one-source case of GuardedTranslateGroup: runs `attempt` (the
+  /// real per-source translation of `original`) under the source's circuit
+  /// breaker, the retry policy with decorrelated backoff, fault injection,
+  /// and the deadline budget from `cancel` (may be null) narrowed by
+  /// source_deadline_us. With a trace attached, each try is a
+  /// "retry.attempt" span under `parent_span` and each wait a
   /// "retry.backoff" span.
   Result<Translation> GuardedTranslate(
       const std::string& source, const Query& original,
       const CancelToken* cancel,
       const std::function<Result<Translation>()>& attempt, CallReport* report,
       Trace* trace = nullptr, uint64_t parent_span = 0);
+
+  /// One call translating the group members listed by index (into the
+  /// guarded `sources`); must return one result per listed member, in
+  /// order.
+  using GroupAttempt = std::function<std::vector<Result<Translation>>(
+      std::span<const size_t> members)>;
+
+  /// The guard over sources that one call translates together (a
+  /// front-end's remote sources on one worker). Each round, every pending
+  /// source checks cancellation, the budget and its own breaker, and draws
+  /// its own injected fault; the sources that pass join one `attempt`. Each
+  /// outcome goes to its own breaker and its own report (`reports` has one
+  /// slot per source). Only retryable failures stay pending, with one
+  /// backoff per round, capped by the budget. One budget — `cancel`'s,
+  /// narrowed by source_deadline_us — covers every round. A round's
+  /// injected stalls are slept once, for the longest: the call waits for
+  /// its slowest member. When that exhausts the budget no call is made, the
+  /// stalled sources fail with DeadlineExceeded and so does every other
+  /// source of the round (docs/ROBUSTNESS.md). Each round is one
+  /// "retry.attempt" span (attr `source` lists the round's sources).
+  /// Returns one result per source, in order.
+  std::vector<Result<Translation>> GuardedTranslateGroup(
+      std::span<const std::string_view> sources, const Query& original,
+      const CancelToken* cancel, const GroupAttempt& attempt,
+      std::span<CallReport> reports, Trace* trace = nullptr,
+      uint64_t parent_span = 0);
 
   /// Breaker state for `source` (kClosed if never called).
   CircuitBreaker::State breaker_state(const std::string& source) const;
@@ -320,14 +349,15 @@ class ResilienceManager {
   const ResilienceOptions& options() const { return options_; }
 
  private:
-  CircuitBreaker& BreakerFor(const std::string& source);
+  CircuitBreaker& BreakerFor(std::string_view source);
   void NoteBreakerEvent(BreakerEvent event);
 
   const ResilienceOptions options_;
   ResilienceClock* const clock_;     // never null (defaulted in ctor)
   FaultInjector* const injector_;    // may be null
   mutable std::mutex breakers_mu_;
-  std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
+  std::map<std::string, std::unique_ptr<CircuitBreaker>, std::less<>>
+      breakers_;
   std::mutex rng_mu_;
   std::mt19937_64 backoff_rng_;  // guarded by rng_mu_
 

@@ -2,7 +2,9 @@
 #define QMAP_SERVICE_SOURCE_TRANSPORT_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "qmap/core/translator.h"
 #include "qmap/service/resilience.h"
@@ -34,6 +36,32 @@ class SourceTransport {
   virtual Result<Translation> Translate(const Query& full, Trace* trace,
                                         uint64_t parent_span, MatchMemo* memo,
                                         const CancelToken* cancel) = 0;
+
+  /// True when one TranslateMany call can carry both this transport's
+  /// source and `other`'s — e.g. two remote sources on the same worker,
+  /// reached through the same client. TranslationService groups its sources
+  /// by this once, at registration. The default shares with nothing.
+  virtual bool SharesCallWith(const SourceTransport& other) const {
+    (void)other;
+    return false;
+  }
+
+  /// Translates `full` for every source in `members` in one call — each
+  /// member shares this transport's call (SharesCallWith) — and returns one
+  /// result per member, in order. Only transports that share calls are
+  /// asked; the default, for those that share with nothing, fails every
+  /// member.
+  virtual std::vector<Result<Translation>> TranslateMany(
+      std::span<SourceTransport* const> members, const Query& full,
+      Trace* trace, uint64_t parent_span, const CancelToken* cancel) {
+    (void)full;
+    (void)trace;
+    (void)parent_span;
+    (void)cancel;
+    return std::vector<Result<Translation>>(
+        members.size(),
+        Status::Internal("transport " + endpoint() + " shares no calls"));
+  }
 
   /// The mapping spec when translation is local (used to build match
   /// memos); null when the rules live elsewhere.

@@ -60,6 +60,21 @@ bool IsPermanentFailure(StatusCode code) {
   }
 }
 
+/// The members of `unit` (indices into `outcomes`) with no outcome yet:
+/// `unit` itself when none has one, else a copy of the rest kept in
+/// `storage`, so a unit whose members all missed costs no allocation.
+std::span<const size_t> Unanswered(
+    std::span<const size_t> unit,
+    std::span<const std::optional<Result<Translation>>> outcomes,
+    std::vector<size_t>& storage) {
+  const auto answered = [&](size_t i) { return outcomes[i].has_value(); };
+  if (std::none_of(unit.begin(), unit.end(), answered)) return unit;
+  for (size_t i : unit) {
+    if (!answered(i)) storage.push_back(i);
+  }
+  return storage;
+}
+
 }  // namespace
 
 TranslationService::TranslationService(ServiceOptions options)
@@ -150,14 +165,6 @@ void TranslationService::AddSource(std::string name, MappingSpec spec) {
 void TranslationService::AddSource(std::string name, MappingSpec spec,
                                    const SourceCapabilities& capabilities) {
   SourceEntry entry;
-  // The context third of the typed cache key: source name plus the option
-  // flags that change translation output. The query third comes per-call
-  // from Query::fingerprint().
-  entry.cache_key_prefix = Fnv64()
-                               .Add(name)
-                               .AddByte(kKeySep)
-                               .Add(OptionsTag(options_.translator))
-                               .value();
   // The rule-set-version third: what the source *is*, separated from what
   // it is *called*. Cached entries — RAM and disk — minted under a
   // different rule set or capability declaration differ here and become
@@ -171,11 +178,7 @@ void TranslationService::AddSource(std::string name, MappingSpec spec,
   entry.name = std::move(name);
   entry.transport = std::make_shared<InProcessTransport>(
       Translator(std::move(spec), options_.translator));
-  entry.runtime = std::make_unique<SourceRuntime>();
-  auto pos = std::lower_bound(
-      sources_.begin(), sources_.end(), entry,
-      [](const SourceEntry& a, const SourceEntry& b) { return a.name < b.name; });
-  sources_.insert(pos, std::move(entry));
+  InsertSource(std::move(entry));
   if (options_.prune_contained_sources) PruneContainedSources();
 }
 
@@ -183,23 +186,45 @@ void TranslationService::AddRemoteSource(
     std::string name, uint64_t rule_set_fp,
     std::shared_ptr<SourceTransport> transport) {
   SourceEntry entry;
-  // Same context-third derivation as AddSource — the cache key is local to
-  // this process — but the rule-set-version third is the *worker's*
-  // advertised fingerprint: both tiers must go stale together when the
-  // worker's rules change.
-  entry.cache_key_prefix = Fnv64()
-                               .Add(name)
-                               .AddByte(kKeySep)
-                               .Add(OptionsTag(options_.translator))
-                               .value();
+  // The rule-set-version third is the *worker's* advertised fingerprint:
+  // both tiers must go stale together when the worker's rules change.
   entry.rule_set_fp = rule_set_fp;
   entry.name = std::move(name);
   entry.transport = std::move(transport);
+  InsertSource(std::move(entry));
+}
+
+void TranslationService::InsertSource(SourceEntry entry) {
+  // The context third of the typed cache key: source name plus the option
+  // flags that change translation output, local to this process even for a
+  // remote source. The query third comes per-call from Query::fingerprint().
+  entry.cache_key_prefix = Fnv64()
+                               .Add(entry.name)
+                               .AddByte(kKeySep)
+                               .Add(OptionsTag(options_.translator))
+                               .value();
   entry.runtime = std::make_unique<SourceRuntime>();
   auto pos = std::lower_bound(
       sources_.begin(), sources_.end(), entry,
       [](const SourceEntry& a, const SourceEntry& b) { return a.name < b.name; });
   sources_.insert(pos, std::move(entry));
+  RebuildUnits();
+}
+
+void TranslationService::RebuildUnits() {
+  units_.clear();
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    const SourceTransport& transport = *sources_[i].transport;
+    auto unit = std::find_if(
+        units_.begin(), units_.end(), [&](const std::vector<size_t>& u) {
+          return sources_[u.front()].transport->SharesCallWith(transport);
+        });
+    if (unit != units_.end()) {
+      unit->push_back(i);
+    } else {
+      units_.push_back({i});
+    }
+  }
 }
 
 std::vector<SourceCatalogEntry> TranslationService::SourceCatalog() const {
@@ -318,6 +343,7 @@ size_t TranslationService::PruneContainedSources() {
     pruned_.push_back(PrunedSourceStatus{pruned.name, pruned.subsumed_by});
     ++removed;
   }
+  if (removed > 0) RebuildUnits();
   if (containment_pruned_counter_ != nullptr && removed > 0) {
     containment_pruned_counter_->Inc(static_cast<uint64_t>(removed));
   }
@@ -368,60 +394,34 @@ std::optional<Translation> TranslationService::LookupCached(
   return hit;
 }
 
-Result<Translation> TranslationService::TranslateMiss(
-    const SourceEntry& source, const Query& full, Trace* trace,
-    uint64_t parent_span, MatchMemo* memo, const CancelToken* cancel,
-    ResilienceManager::CallReport* report) const {
-  const auto attempt = [&]() {
-    return source.transport->Translate(full, trace, parent_span, memo, cancel);
-  };
-  const auto guarded = [&]() -> Result<Translation> {
-    // Scoreboard accounting: only real source work counts as a call (cache
-    // and store hits return before this point), and in_flight brackets the
-    // whole guarded window including retries and backoff.
-    SourceRuntime& runtime = *source.runtime;
-    runtime.calls.fetch_add(1, std::memory_order_relaxed);
-    runtime.in_flight.fetch_add(1, std::memory_order_relaxed);
-    Result<Translation> result =
-        resilience_ == nullptr
-            ? attempt()
-            : resilience_->GuardedTranslate(source.name, full, cancel, attempt,
-                                            report, trace, parent_span);
-    runtime.in_flight.fetch_sub(1, std::memory_order_relaxed);
-    if (!result.ok()) {
-      runtime.failures.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (report != nullptr && report->retries > 0) {
-      runtime.retries.fetch_add(report->retries, std::memory_order_relaxed);
-    }
-    return result;
-  };
-  if (!options_.enable_cache) return guarded();
-  const TranslationCacheKey key = CacheKey(source, full);
-  if (store_ != nullptr) {
-    // RAM miss: fall through to the persistent tier. A disk hit is promoted
-    // into the RAM cache so the next lookup stops there.
-    Span lookup(trace, "store.lookup", parent_span);
-    if (std::optional<Result<Translation>> stored = store_->Get(key)) {
-      if (lookup.enabled()) lookup.AddAttr("hit", "true");
-      if (!stored->ok()) return stored->status();  // stored negative result
-      Translation hit = *std::move(*stored);
-      hit.stats = TranslationStats{};
-      hit.stats.store_hits = 1;
-      hit.stats.cache_evictions = cache_.Put(key, hit) ? 1 : 0;
-      return hit;
-    }
-    if (lookup.enabled()) lookup.AddAttr("hit", "false");
-  }
-  Result<Translation> translation = guarded();
+std::optional<Result<Translation>> TranslationService::LookupStored(
+    const TranslationCacheKey& key, Trace* trace, uint64_t parent_span) const {
+  if (store_ == nullptr) return std::nullopt;
+  // RAM miss: fall through to the persistent tier. A disk hit is promoted
+  // into the RAM cache so the next lookup stops there.
+  Span lookup(trace, "store.lookup", parent_span);
+  std::optional<Result<Translation>> stored = store_->Get(key);
+  if (lookup.enabled()) lookup.AddAttr("hit", stored ? "true" : "false");
+  if (!stored || !stored->ok()) return stored;  // miss, or stored negative
+  Translation& hit = **stored;
+  hit.stats = TranslationStats{};
+  hit.stats.store_hits = 1;
+  hit.stats.cache_evictions = cache_.Put(key, hit) ? 1 : 0;
+  return stored;
+}
+
+void TranslationService::FillTiers(const TranslationCacheKey& key,
+                                   Result<Translation>& translation,
+                                   bool degraded, Trace* trace,
+                                   uint64_t parent_span) const {
   if (!translation.ok()) {
     if (store_ != nullptr && options_.store.cache_negatives &&
         IsPermanentFailure(translation.status().code())) {
       store_->PutNegative(key, translation.status()).ok();
     }
-    return translation;
+    return;
   }
-  if (report == nullptr || !report->degraded) {
+  if (!degraded) {
     // Degraded (widened) translations are never cached or persisted: a
     // later healthy call must get the exact mapping back, not a poisoned
     // wide one — and a store record outlives the process, so persisting a
@@ -432,7 +432,88 @@ Result<Translation> TranslationService::TranslateMiss(
     translation->stats.cache_evictions += evicted ? 1 : 0;
   }
   translation->stats.cache_misses = 1;
-  return translation;
+}
+
+void TranslationService::TranslateUnit(
+    std::span<const size_t> missed, const Query& full, Trace* trace,
+    uint64_t parent_span, const std::vector<std::unique_ptr<MatchMemo>>& memos,
+    const CancelToken* cancel,
+    std::span<std::optional<Result<Translation>>> outcomes,
+    std::span<ResilienceManager::CallReport> reports) const {
+  if (options_.enable_cache) {
+    for (size_t i : missed) {
+      if (std::optional<Result<Translation>> stored =
+              LookupStored(CacheKey(sources_[i], full), trace, parent_span)) {
+        outcomes[i].emplace(*std::move(stored));
+      }
+    }
+  }
+  // Store hits leave the unit; the members left share one call.
+  std::vector<size_t> storage;
+  const std::span<const size_t> call = Unanswered(missed, outcomes, storage);
+  if (call.empty()) return;
+
+  // One call for the listed members (indices into sources_), answered into
+  // their outcomes. Only a source's own Translate can use its match memo.
+  const auto translate = [&](std::span<const size_t> listed) {
+    if (listed.size() == 1) {
+      const size_t i = listed.front();
+      outcomes[i].emplace(sources_[i].transport->Translate(
+          full, trace, parent_span, memos.empty() ? nullptr : memos[i].get(),
+          cancel));
+      return;
+    }
+    std::vector<SourceTransport*> transports;
+    transports.reserve(listed.size());
+    for (size_t i : listed) transports.push_back(sources_[i].transport.get());
+    std::vector<Result<Translation>> results =
+        transports.front()->TranslateMany(transports, full, trace,
+                                          parent_span, cancel);
+    results.resize(listed.size(), Status::Internal("transport gave no result"));
+    for (size_t k = 0; k < listed.size(); ++k) {
+      outcomes[listed[k]].emplace(std::move(results[k]));
+    }
+  };
+  for (size_t i : call) sources_[i].runtime->BeginCall();
+  if (resilience_ == nullptr) {
+    translate(call);
+  } else {
+    std::vector<std::string_view> names;
+    names.reserve(call.size());
+    for (size_t i : call) names.push_back(sources_[i].name);
+    std::vector<ResilienceManager::CallReport> call_reports(call.size());
+    std::vector<Result<Translation>> results =
+        resilience_->GuardedTranslateGroup(
+            names, full, cancel,
+            [&](std::span<const size_t> pending) {
+              // Each round lists only the members still pending (indices
+              // into `call`); the guard takes their outcomes back.
+              std::vector<size_t> listed;
+              listed.reserve(pending.size());
+              for (size_t k : pending) listed.push_back(call[k]);
+              translate(listed);
+              std::vector<Result<Translation>> round;
+              round.reserve(listed.size());
+              for (size_t i : listed) {
+                round.push_back(*std::move(outcomes[i]));
+                outcomes[i].reset();
+              }
+              return round;
+            },
+            call_reports, trace, parent_span);
+    for (size_t k = 0; k < call.size(); ++k) {
+      reports[call[k]] = call_reports[k];
+      outcomes[call[k]].emplace(std::move(results[k]));
+    }
+  }
+  for (size_t i : call) {
+    Result<Translation>& result = *outcomes[i];
+    sources_[i].runtime->EndCall(result.ok(), reports[i].retries);
+    if (options_.enable_cache) {
+      FillTiers(CacheKey(sources_[i], full), result, reports[i].degraded, trace,
+                parent_span);
+    }
+  }
 }
 
 Result<MediatorTranslation> TranslationService::TranslateFull(
@@ -459,44 +540,72 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
       ++misses;
     }
   }
-  // One miss, end to end. `submit_ns` is the pool submit time, or -1 when
-  // the miss runs inline on the calling thread.
-  const auto translate_miss = [&](size_t i, int64_t submit_ns) {
+  // One unit of work, end to end: a local miss, or a remote group's misses.
+  // `submit_ns` is the pool submit time, or -1 when the unit runs inline on
+  // the calling thread.
+  const auto translate_unit = [&](const std::vector<size_t>& unit,
+                                  int64_t submit_ns) {
     const int64_t start_ns =
         trace != nullptr && submit_ns >= 0 ? trace->NowNs() : 0;
+    std::vector<size_t> storage;
+    const std::span<const size_t> missed = Unanswered(unit, outcomes, storage);
     Span source_span(trace, "source.translate", root_id);
     if (source_span.enabled()) {
-      source_span.AddAttr("source", sources_[i].name);
+      std::string names;
+      for (size_t i : missed) {
+        if (!names.empty()) names += ',';
+        names += sources_[i].name;
+      }
+      source_span.AddAttr("source", std::move(names));
       if (submit_ns >= 0) {
         trace->AddCompleteSpan("pool.wait", root_id, submit_ns, start_ns);
       }
     }
-    Result<Translation> translation = TranslateMiss(
-        sources_[i], full, trace, source_span.id(),
-        memos.empty() ? nullptr : memos[i].get(), cancel, &reports[i]);
-    if (translation.ok()) {
-      if (submit_ns >= 0) {
-        translation->stats.queue_wait_ns +=
-            static_cast<uint64_t>(start_ns - submit_ns);
+    TranslateUnit(missed, full, trace, source_span.id(), memos, cancel,
+                  outcomes, reports);
+    if (source_span.enabled()) {
+      // The unit waited once, so its pool wait counts on its first member
+      // that answered; its span carries its members' summed stats.
+      TranslationStats unit_stats;
+      bool waited = submit_ns < 0;
+      for (size_t i : missed) {
+        if (!outcomes[i]->ok()) continue;
+        TranslationStats& stats = (*outcomes[i])->stats;
+        if (!waited) {
+          stats.queue_wait_ns += static_cast<uint64_t>(start_ns - submit_ns);
+          waited = true;
+        }
+        unit_stats.MergeFrom(stats);
       }
-      source_span.SetStats(translation->stats);
+      source_span.SetStats(unit_stats);
     }
-    outcomes[i].emplace(std::move(translation));
   };
-  const bool fan_out = pool_ != nullptr && misses > 1;
+  const auto has_miss = [&](const std::vector<size_t>& unit) {
+    return std::any_of(unit.begin(), unit.end(), [&](size_t i) {
+      return !outcomes[i].has_value();
+    });
+  };
+  size_t tasks = 0;
+  if (misses > 0) {
+    for (const std::vector<size_t>& unit : units_) {
+      tasks += has_miss(unit) ? 1 : 0;
+    }
+  }
+  const bool fan_out = pool_ != nullptr && tasks > 1;
   if (fan_out) {
-    parallel_tasks_.fetch_add(misses, std::memory_order_relaxed);
+    parallel_tasks_.fetch_add(tasks, std::memory_order_relaxed);
     // Covers the whole fan-out window on the calling thread: submits, the
     // workers' overlapping spans, and the latch wake-up latency.
     Span fanout_span(trace, "fanout.wait", root_id);
-    std::latch done(static_cast<ptrdiff_t>(misses));
-    for (size_t i = 0; i < n; ++i) {
-      if (outcomes[i].has_value()) continue;
+    std::latch done(static_cast<ptrdiff_t>(tasks));
+    for (const std::vector<size_t>& unit : units_) {
+      // Only this loop reads a unit's outcomes before its task is submitted.
+      if (!has_miss(unit)) continue;
       const int64_t submit_ns = trace != nullptr ? trace->NowNs() : 0;
-      pool_->Submit([&translate_miss, &done, i, submit_ns] {
-        // translate_miss ends its spans before returning, and must: once
+      pool_->Submit([&translate_unit, &done, &unit, submit_ns] {
+        // translate_unit ends its spans before returning, and must: once
         // count_down() lets the calling thread return, the trace is gone.
-        translate_miss(i, submit_ns);
+        translate_unit(unit, submit_ns);
         done.count_down();
       });
     }
@@ -506,10 +615,10 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
     // Expiry makes the workers *finish fast* (the guard checks the token
     // before each attempt), never makes the caller leave early.
     done.wait();
-  } else if (misses > 0) {
-    inline_tasks_.fetch_add(misses, std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) {
-      if (!outcomes[i].has_value()) translate_miss(i, -1);
+  } else if (tasks > 0) {
+    inline_tasks_.fetch_add(tasks, std::memory_order_relaxed);
+    for (const std::vector<size_t>& unit : units_) {
+      if (has_miss(unit)) translate_unit(unit, -1);
     }
   }
 
@@ -525,7 +634,7 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   join_span.End();
   Result<MediatorTranslation> out = gather.Finish(full, root);
   if (!out.ok()) return out;
-  if (fan_out) out->stats.parallel_tasks += misses;
+  if (fan_out) out->stats.parallel_tasks += tasks;
   if (match_attempts_counter_ != nullptr) {
     match_attempts_counter_->Inc(out->stats.match.pattern_attempts);
     match_index_hits_counter_->Inc(out->stats.match.index_hits);
@@ -658,26 +767,14 @@ Result<MediatorTranslation> TranslationService::Translate(const Query& query,
   return TranslateObserved(full, trace, /*memos=*/{}, MakeRequestToken(&token));
 }
 
-Result<Translation> TranslationService::TranslateSource(
-    std::string_view name, const Query& full, uint32_t deadline_ms) const {
+std::vector<Result<Translation>> TranslationService::TranslateSources(
+    std::span<const std::string_view> names, const Query& full,
+    uint32_t deadline_ms) const {
   WarmUpFromStoreOnce();
-  const SourceEntry* entry = nullptr;
-  for (const SourceEntry& source : sources_) {
-    if (source.name == name) {
-      entry = &source;
-      break;
-    }
-  }
-  if (entry == nullptr) {
-    return Status::NotFound("unknown source: " + std::string(name));
-  }
-  if (std::optional<Translation> hit =
-          LookupCached(*entry, full, /*trace=*/nullptr, /*parent_span=*/0)) {
-    return *std::move(hit);
-  }
-  // The caller's remaining budget narrows the service's own request
-  // deadline (if any) — budget propagation across the wire works exactly
-  // like propagation down the local call tree.
+  // One budget covers every listed source: the caller's remaining budget
+  // narrows the service's own request deadline (if any) — budget
+  // propagation across the wire works exactly like propagation down the
+  // local call tree.
   CancelToken token;
   const CancelToken* cancel = MakeRequestToken(&token);
   if (deadline_ms > 0) {
@@ -688,11 +785,77 @@ Result<Translation> TranslationService::TranslateSource(
         clock->NowUs(), static_cast<uint64_t>(deadline_ms) * 1000);
     cancel = &token;
   }
-  ResilienceManager::CallReport report;
-  // No memo scope: a single-source call lets the Translator build its own
-  // per-call memo, which is exactly as effective for one query.
-  return TranslateMiss(*entry, full, /*trace=*/nullptr, /*parent_span=*/0,
-                       /*memo=*/nullptr, cancel, &report);
+  const size_t n = sources_.size();
+  std::vector<std::optional<Result<Translation>>> outcomes(n);
+  std::vector<ResilienceManager::CallReport> reports(n);
+  // Per listed name: its source's index, or n for an unknown name; and per
+  // source, the last listing that names it.
+  std::vector<size_t> listed(names.size(), n);
+  std::vector<size_t> last_listing(n);
+  std::vector<size_t> misses;  // distinct sources the cache did not answer
+  for (size_t k = 0; k < names.size(); ++k) {
+    auto pos = std::lower_bound(
+        sources_.begin(), sources_.end(), names[k],
+        [](const SourceEntry& a, std::string_view b) { return a.name < b; });
+    if (pos == sources_.end() || pos->name != names[k]) continue;
+    const size_t i = static_cast<size_t>(pos - sources_.begin());
+    listed[k] = i;
+    last_listing[i] = k;
+    if (outcomes[i].has_value() ||
+        std::find(misses.begin(), misses.end(), i) != misses.end()) {
+      continue;  // listed before
+    }
+    if (std::optional<Translation> hit = LookupCached(
+            sources_[i], full, /*trace=*/nullptr, /*parent_span=*/0)) {
+      outcomes[i].emplace(*std::move(hit));
+    } else {
+      misses.push_back(i);
+    }
+  }
+  // Each miss is a local source's unit of work. No memo scope: each is one
+  // source translating one query, which the Translator's own per-call memo
+  // covers exactly as well.
+  const auto translate = [&](size_t m) {
+    TranslateUnit(std::span(&misses[m], 1), full, /*trace=*/nullptr,
+                  /*parent_span=*/0, /*memos=*/{}, cancel, outcomes, reports);
+  };
+  if (pool_ != nullptr && misses.size() > 1) {
+    // The calling thread translates the first miss itself while the pool
+    // takes the rest; it always waits for them, since they write into this
+    // frame's `outcomes`.
+    std::latch done(static_cast<ptrdiff_t>(misses.size() - 1));
+    for (size_t m = 1; m < misses.size(); ++m) {
+      pool_->Submit([&translate, &done, m] {
+        translate(m);
+        done.count_down();
+      });
+    }
+    translate(0);
+    done.wait();
+  } else {
+    for (size_t m = 0; m < misses.size(); ++m) translate(m);
+  }
+
+  std::vector<Result<Translation>> out;
+  out.reserve(names.size());
+  for (size_t k = 0; k < names.size(); ++k) {
+    const size_t i = listed[k];
+    if (i == n) {
+      out.push_back(
+          Status::NotFound("unknown source: " + std::string(names[k])));
+    } else if (last_listing[i] == k) {
+      out.push_back(*std::move(outcomes[i]));
+    } else {
+      out.push_back(*outcomes[i]);  // a source listed twice is answered twice
+    }
+  }
+  return out;
+}
+
+Result<Translation> TranslationService::TranslateSource(
+    std::string_view name, const Query& full, uint32_t deadline_ms) const {
+  return std::move(
+      TranslateSources(std::span(&name, 1), full, deadline_ms).front());
 }
 
 Result<std::vector<MediatorTranslation>> TranslationService::TranslateBatch(

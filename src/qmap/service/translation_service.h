@@ -147,9 +147,10 @@ struct ServiceStats {
   uint64_t batch_calls = 0;
   uint64_t batch_queries = 0;     // queries received across all batches
   uint64_t batch_duplicates = 0;  // batch queries answered by intra-batch dedup
-  // Per-source cache misses translated on the pool / on the calling thread.
-  // Cache hits are answered on the calling thread and count in neither; they
-  // show in cache.hits.
+  // Units of work run on the pool / on the calling thread by Translate and
+  // TranslateBatch. A unit is one local source's cache miss, or all of one
+  // remote group's misses (one wire call). Cache hits are answered on the
+  // calling thread and count in neither; they show in cache.hits.
   uint64_t parallel_tasks = 0;
   uint64_t inline_tasks = 0;
   uint64_t slow_queries = 0;      // queries captured by the slow-query log
@@ -271,6 +272,9 @@ class TranslationService {
   /// worker's value keeps the front-end's cache/store keys aligned with the
   /// worker's, so both tiers invalidate together when the rules change.
   /// The transport must be thread-safe: the fan-out calls it concurrently.
+  /// Sources whose transports share calls (SourceTransport::SharesCallWith,
+  /// e.g. remote sources on one worker) form one group: a request's misses
+  /// in a group are one unit of work, translated by one TranslateMany call.
   void AddRemoteSource(std::string name, uint64_t rule_set_fp,
                        std::shared_ptr<SourceTransport> transport);
 
@@ -320,13 +324,21 @@ class TranslationService {
   /// and its rule-set fingerprint, in sources_ (name) order.
   std::vector<SourceCatalogEntry> SourceCatalog() const;
 
-  /// Worker-side single-source entry: translates `full` for the named
-  /// source through the normal cache → store → guarded-translate path.
+  /// Worker-side entry for one wire frame: translates `full` for each named
+  /// source through the normal cache → store → guarded-translate path and
+  /// returns one result per name, in order (NotFound for an unknown name).
+  /// Cache hits are answered on the calling thread; with two or more
+  /// misses, the calling thread translates one and the pool the rest.
   /// `full` must already be the complete query — the wire contract is that
   /// the front-end conjoins its view constraints before sending, so this
   /// does NOT conjoin this service's own view constraints (a worker serving
-  /// a federation keeps them empty). `deadline_ms` bounds the call (0 = no
-  /// deadline beyond the service's own request deadline).
+  /// a federation keeps them empty). `deadline_ms` bounds the whole call
+  /// (0 = no deadline beyond the service's own request deadline).
+  std::vector<Result<Translation>> TranslateSources(
+      std::span<const std::string_view> names, const Query& full,
+      uint32_t deadline_ms = 0) const;
+
+  /// The one-source case of TranslateSources.
   Result<Translation> TranslateSource(std::string_view name, const Query& full,
                                       uint32_t deadline_ms = 0) const;
 
@@ -344,18 +356,21 @@ class TranslationService {
 
   /// Translates `query` for every source: Eq. 3's S_1(Q) ... S_n(Q) plus
   /// the merged residue filter F. Cache-first: every source's RAM-cache
-  /// probe runs on the calling thread, and only the misses are translated —
-  /// on the pool when one is configured and two or more sources missed,
-  /// inline otherwise. An all-hit call never touches the pool. The returned
+  /// probe runs on the calling thread, and only the misses are translated.
+  /// Each local miss is one unit of work, and so are all of one remote
+  /// group's misses (see AddRemoteSource); units run on the pool when one
+  /// is configured and there are two or more, inline otherwise. An all-hit
+  /// call never touches the pool. The returned
   /// translation's `stats` aggregates per-source counters plus the service's
   /// cache/parallelism counters for this call.
   ///
   /// When `trace` is non-null the whole call is recorded into it: a
   /// service.translate root span with one cache.lookup span per source
-  /// under it, then, for each miss only, a source.translate span (with a
-  /// pool.wait span when the miss ran on the pool, inside one fanout.wait)
-  /// and the full per-source algorithm spans underneath (tdqm, psafe,
-  /// ednf.safety, scm, disjunctivize — see docs/OBSERVABILITY.md).
+  /// under it, then, for each unit of work only, a source.translate span
+  /// (with a pool.wait span when the unit ran on the pool, inside one
+  /// fanout.wait) and the full per-source algorithm spans underneath (tdqm,
+  /// psafe, ednf.safety, scm, disjunctivize — or one rpc.translate per wire
+  /// call; see docs/OBSERVABILITY.md).
   /// Caveat: reusing one Trace across calls double-counts its spans in
   /// qmap_span_* metrics; pass a fresh Trace per call when metrics are on.
   Result<MediatorTranslation> Translate(const Query& query,
@@ -426,6 +441,21 @@ class TranslationService {
     std::atomic<uint64_t> calls{0};
     std::atomic<uint64_t> failures{0};
     std::atomic<uint64_t> retries{0};
+
+    /// Brackets one guarded call of the source, retries and backoff
+    /// included. Only real source work counts: cache and store hits never
+    /// get here.
+    void BeginCall() {
+      calls.fetch_add(1, std::memory_order_relaxed);
+      in_flight.fetch_add(1, std::memory_order_relaxed);
+    }
+    void EndCall(bool ok, uint32_t call_retries) {
+      in_flight.fetch_sub(1, std::memory_order_relaxed);
+      if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+      if (call_retries > 0) {
+        retries.fetch_add(call_retries, std::memory_order_relaxed);
+      }
+    }
   };
 
   struct SourceEntry {
@@ -444,6 +474,13 @@ class TranslationService {
     /// every cache/store entry minted under the old mapping unreachable.
     uint64_t rule_set_fp = 0;
   };
+
+  /// Shared tail of AddSource/AddRemoteSource: mints the entry's cache-key
+  /// prefix, inserts it in name order, and regroups the units.
+  void InsertSource(SourceEntry entry);
+
+  /// Recomputes units_ from sources_ (setup-phase only).
+  void RebuildUnits();
 
   /// Batch match-memo scope, for TranslateBatch only: one thread-safe
   /// MatchMemo per source (in sources_ order), built for that source's spec
@@ -471,21 +508,43 @@ class TranslationService {
                                           const Query& full, Trace* trace,
                                           uint64_t parent_span) const;
 
-  /// Everything after a RAM miss: the store tier, else translate (under the
-  /// resilience guards when enabled) and fill both tiers. Degraded
+  /// Everything after the RAM probe, for the members of one unit of work
+  /// (a source on its own, or a group of sources that share calls) that
+  /// the cache did not answer (`missed`, indices into sources_): the store
+  /// tier, then one call, under the resilience guards when enabled, for
+  /// the members the store did not answer — one member calls its
+  /// transport's Translate with its memo from `memos` (empty for none), two
+  /// or more one TranslateMany — then the fills of both tiers. Degraded
   /// translations are never cached — a cached entry must be the exact
-  /// mapping, not a widened one. An eviction caused by this source's RAM
-  /// fill shows in the result's stats.cache_evictions. `memo`, `cancel` and
-  /// `report` may be null.
-  Result<Translation> TranslateMiss(
-      const SourceEntry& source, const Query& full, Trace* trace,
-      uint64_t parent_span, MatchMemo* memo, const CancelToken* cancel,
-      ResilienceManager::CallReport* report) const;
+  /// mapping, not a widened one. An eviction caused by a member's RAM fill
+  /// shows in its result's stats.cache_evictions. Writes outcomes[i] for
+  /// every member i, and reports[i] for every member the guards ran.
+  void TranslateUnit(std::span<const size_t> missed, const Query& full,
+                     Trace* trace, uint64_t parent_span,
+                     const std::vector<std::unique_ptr<MatchMemo>>& memos,
+                     const CancelToken* cancel,
+                     std::span<std::optional<Result<Translation>>> outcomes,
+                     std::span<ResilienceManager::CallReport> reports) const;
+
+  /// The store tier after a RAM miss: the stored translation (promoted into
+  /// the RAM cache) or stored negative result, else nullopt. The cache must
+  /// be enabled.
+  std::optional<Result<Translation>> LookupStored(
+      const TranslationCacheKey& key, Trace* trace,
+      uint64_t parent_span) const;
+
+  /// Fills both tiers with a freshly translated outcome — a permanent
+  /// failure as a store negative, a non-degraded translation in both — and
+  /// stamps its per-call cache counters. The cache must be enabled.
+  void FillTiers(const TranslationCacheKey& key,
+                 Result<Translation>& translation, bool degraded, Trace* trace,
+                 uint64_t parent_span) const;
 
   /// The cache-first fan-out + deterministic join for one full query (view
   /// constraints already conjoined): every source's RAM probe runs on the
-  /// calling thread, then two or more misses go to the pool and a single
-  /// miss runs inline. `memos` is the batch memo scope (empty for Translate).
+  /// calling thread, then two or more units of work go to the pool and a
+  /// single unit runs inline. `memos` is the batch memo scope (empty for
+  /// Translate).
   ///
   /// Cancellation/lifetime contract: workers write into stack-allocated
   /// per-request state, so this function ALWAYS waits for every dispatched
@@ -539,6 +598,10 @@ class TranslationService {
 
   ServiceOptions options_;
   std::vector<SourceEntry> sources_;  // sorted by name
+  /// The units of work of a request, as ascending indices into sources_: a
+  /// group of remote sources that share calls, or one source on its own.
+  /// Worked out at registration (RebuildUnits), not per request.
+  std::vector<std::vector<size_t>> units_;
   // Chain registrations (AddChain) and containment-pruned sources, both
   // setup-phase state snapshotted by StatusSnapshot().
   std::vector<ChainStatus> chains_;

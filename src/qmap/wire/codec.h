@@ -42,6 +42,7 @@ class PayloadReader {
   bool ReadU64(uint64_t* out);
   bool ReadStr(std::string_view* out);
   bool AtEnd() const { return pos_ == data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;

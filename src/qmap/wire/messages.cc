@@ -6,12 +6,49 @@
 
 namespace qmap {
 
+namespace {
+
+// Smallest encodings, for bounding a declared count by the bytes left: a
+// source name is at least its u32 length; a reply at least its ok byte plus
+// a status body (u32 code, u32 message length).
+constexpr size_t kMinSourceBytes = 4;
+constexpr size_t kMinReplyBytes = 9;
+
+//   reply := u8 ok | (translation body if ok, else status body)
+void EncodeReply(std::string* out, const SourceReply& reply) {
+  PutU8(out, reply.ok ? 1 : 0);
+  if (reply.ok) {
+    EncodeTranslationBody(out, reply.value);
+  } else {
+    EncodeStatusBody(out, reply.failure);
+  }
+}
+
+bool DecodeReply(PayloadReader& r, SourceReply* reply) {
+  uint8_t ok = 0;
+  if (!r.ReadU8(&ok) || ok > 1) return false;
+  reply->ok = ok == 1;
+  if (!reply->ok) return DecodeStatusBody(r, &reply->failure);
+  Result<Translation> value = DecodeTranslationBody(r);
+  if (!value.ok()) return false;
+  reply->value = std::move(value).value();
+  return true;
+}
+
+}  // namespace
+
+//   request := u64 id | str source | str query | u32 deadline_ms
+//              | u32 n | n * str(further source)
 std::string EncodeTranslateRequest(const TranslateRequest& request) {
   std::string out;
   PutU64(&out, request.request_id);
   PutStr(&out, request.source);
   PutStr(&out, request.query_text);
   PutU32(&out, request.deadline_ms);
+  PutU32(&out, static_cast<uint32_t>(request.further_sources.size()));
+  for (const std::string& source : request.further_sources) {
+    PutStr(&out, source);
+  }
   return out;
 }
 
@@ -20,46 +57,56 @@ Result<TranslateRequest> DecodeTranslateRequest(std::string_view payload) {
   TranslateRequest request;
   std::string_view source;
   std::string_view query_text;
+  uint32_t n = 0;
   if (!r.ReadU64(&request.request_id) || !r.ReadStr(&source) ||
       !r.ReadStr(&query_text) || !r.ReadU32(&request.deadline_ms) ||
-      !r.AtEnd()) {
+      !r.ReadU32(&n) || n > r.remaining() / kMinSourceBytes) {
     return Status::ParseError("wire: malformed TranslateRequest");
   }
   request.source = std::string(source);
   request.query_text = std::string(query_text);
+  // The bound above rejects a count the payload cannot hold; past it, memory
+  // grows only with entries that actually decode.
+  for (uint32_t i = 0; i < n; ++i) {
+    std::string_view further;
+    if (!r.ReadStr(&further)) {
+      return Status::ParseError("wire: malformed TranslateRequest source");
+    }
+    request.further_sources.emplace_back(further);
+  }
+  if (!r.AtEnd()) {
+    return Status::ParseError("wire: trailing bytes in TranslateRequest");
+  }
   return request;
 }
 
+//   response := u64 id | reply(first source) | u32 n | n * reply
 std::string EncodeTranslateResponse(const TranslateResponse& response) {
   std::string out;
   PutU64(&out, response.request_id);
-  PutU8(&out, response.ok ? 1 : 0);
-  if (response.ok) {
-    EncodeTranslationBody(&out, response.value);
-  } else {
-    EncodeStatusBody(&out, response.failure);
-  }
+  EncodeReply(&out, response);
+  PutU32(&out, static_cast<uint32_t>(response.further.size()));
+  for (const SourceReply& reply : response.further) EncodeReply(&out, reply);
   return out;
 }
 
 Result<TranslateResponse> DecodeTranslateResponse(std::string_view payload) {
   PayloadReader r(payload);
   TranslateResponse response;
-  uint8_t ok = 0;
-  if (!r.ReadU64(&response.request_id) || !r.ReadU8(&ok) || ok > 1) {
+  uint32_t n = 0;
+  if (!r.ReadU64(&response.request_id) || !DecodeReply(r, &response) ||
+      !r.ReadU32(&n) || n > r.remaining() / kMinReplyBytes) {
     return Status::ParseError("wire: malformed TranslateResponse");
   }
-  response.ok = ok == 1;
-  if (response.ok) {
-    Result<Translation> value = DecodeTranslationBody(r);
-    if (!value.ok() || !r.AtEnd()) {
-      return Status::ParseError("wire: malformed TranslateResponse body");
+  for (uint32_t i = 0; i < n; ++i) {
+    SourceReply reply;
+    if (!DecodeReply(r, &reply)) {
+      return Status::ParseError("wire: malformed TranslateResponse reply");
     }
-    response.value = std::move(value).value();
-  } else {
-    if (!DecodeStatusBody(r, &response.failure) || !r.AtEnd()) {
-      return Status::ParseError("wire: malformed TranslateResponse status");
-    }
+    response.further.push_back(std::move(reply));
+  }
+  if (!r.AtEnd()) {
+    return Status::ParseError("wire: trailing bytes in TranslateResponse");
   }
   return response;
 }

@@ -107,15 +107,16 @@ QmapServerStats QmapServer::stats() const {
         .Set(static_cast<int64_t>(out.net.bytes_written));
     metrics
         ->gauge("qmap_rpc_requests_total",
-                "Translate requests decoded by the wire server.")
+                "Translate frames decoded by the wire server; one frame "
+                "carries one or more sources.")
         .Set(static_cast<int64_t>(out.requests));
     metrics
         ->gauge("qmap_rpc_rejected_overload_total",
-                "Requests rejected by admission control (max in-flight).")
+                "Frames rejected by admission control (max in-flight).")
         .Set(static_cast<int64_t>(out.rejected_overload));
     metrics
         ->gauge("qmap_rpc_rejected_quota_total",
-                "Requests rejected by per-connection token-bucket quotas.")
+                "Frames rejected by per-connection token-bucket quotas.")
         .Set(static_cast<int64_t>(out.rejected_quota));
     metrics
         ->gauge("qmap_rpc_malformed_frames_total",
@@ -210,6 +211,29 @@ void QmapServer::HandleCatalog(Conn& conn) {
   Reply(conn, FrameType::kCatalogResponse, EncodeCatalogResponse(response));
 }
 
+namespace {
+
+// The response answering every source `request` lists with `failure`.
+TranslateResponse FailedResponse(const TranslateRequest& request,
+                                 const Status& failure) {
+  TranslateResponse response;
+  response.request_id = request.request_id;
+  response.failure = failure;
+  response.further.resize(request.further_sources.size());
+  for (SourceReply& reply : response.further) reply.failure = failure;
+  return response;
+}
+
+}  // namespace
+
+void QmapServer::RejectTranslate(Conn& conn, const TranslateRequest& request,
+                                 const Status& failure) {
+  responses_error_.fetch_add(1 + request.further_sources.size(),
+                             std::memory_order_relaxed);
+  Reply(conn, FrameType::kTranslateResponse,
+        EncodeTranslateResponse(FailedResponse(request, failure)));
+}
+
 void QmapServer::HandleTranslate(Conn& conn, std::string_view payload) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   auto* state = static_cast<ConnState*>(conn.user_data().get());
@@ -221,56 +245,61 @@ void QmapServer::HandleTranslate(Conn& conn, std::string_view payload) {
     conn.Abort();
     return;
   }
-  TranslateResponse response;
-  response.request_id = request->request_id;
+  // Quota and admission count a frame once, however many sources it lists.
   if (options_.quota_tokens_per_sec > 0 && !TakeQuotaToken(*state)) {
     rejected_quota_.fetch_add(1, std::memory_order_relaxed);
-    responses_error_.fetch_add(1, std::memory_order_relaxed);
-    response.failure = Status::Unavailable("qmap server: quota exceeded");
-    Reply(conn, FrameType::kTranslateResponse,
-          EncodeTranslateResponse(response));
+    RejectTranslate(conn, *request,
+                    Status::Unavailable("qmap server: quota exceeded"));
     return;
   }
   if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
       options_.max_in_flight) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    responses_error_.fetch_add(1, std::memory_order_relaxed);
-    response.failure = Status::Unavailable(
-        "qmap server: overloaded (" + std::to_string(options_.max_in_flight) +
-        " requests in flight)");
-    Reply(conn, FrameType::kTranslateResponse,
-          EncodeTranslateResponse(response));
+    RejectTranslate(conn, *request,
+                    Status::Unavailable(
+                        "qmap server: overloaded (" +
+                        std::to_string(options_.max_in_flight) +
+                        " requests in flight)"));
     return;
   }
   state->pending += 1;
   const uint64_t conn_id = conn.id();
+  // One pool task per frame: the query is parsed once for all its sources.
   pool_.Submit([this, conn_id, request = *std::move(request)] {
     std::shared_ptr<TranslationService> service = this->service();
     TranslateResponse response;
-    response.request_id = request.request_id;
-    if (service == nullptr) {
-      response.failure = Status::Unavailable("qmap server: no service loaded");
+    Result<Query> query =
+        service != nullptr ? ParseQuery(request.query_text)
+                           : Result<Query>(Status::Unavailable(
+                                 "qmap server: no service loaded"));
+    if (!query.ok()) {
+      response = FailedResponse(request, query.status());
     } else {
-      Result<Query> query = ParseQuery(request.query_text);
-      if (!query.ok()) {
-        response.failure = query.status();
-      } else {
-        Result<Translation> translation = service->TranslateSource(
-            request.source, *query, request.deadline_ms);
-        if (translation.ok()) {
-          response.ok = true;
-          response.value = *std::move(translation);
+      std::vector<std::string_view> names;
+      names.reserve(1 + request.further_sources.size());
+      names.push_back(request.source);
+      names.insert(names.end(), request.further_sources.begin(),
+                   request.further_sources.end());
+      std::vector<Result<Translation>> results =
+          service->TranslateSources(names, *query, request.deadline_ms);
+      response.request_id = request.request_id;
+      response.further.resize(request.further_sources.size());
+      for (size_t k = 0; k < results.size(); ++k) {
+        SourceReply& reply = k == 0 ? response : response.further[k - 1];
+        reply.ok = results[k].ok();
+        if (reply.ok) {
+          reply.value = *std::move(results[k]);
         } else {
-          response.failure = translation.status();
+          reply.failure = results[k].status();
         }
       }
     }
-    if (response.ok) {
-      responses_ok_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      responses_error_.fetch_add(1, std::memory_order_relaxed);
-    }
+    uint64_t ok = response.ok ? 1 : 0;
+    for (const SourceReply& reply : response.further) ok += reply.ok ? 1 : 0;
+    responses_ok_.fetch_add(ok, std::memory_order_relaxed);
+    responses_error_.fetch_add(1 + response.further.size() - ok,
+                               std::memory_order_relaxed);
     std::string frame = EncodeFrame(FrameType::kTranslateResponse,
                                     EncodeTranslateResponse(response));
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);

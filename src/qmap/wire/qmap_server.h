@@ -15,6 +15,7 @@
 #include "qmap/service/thread_pool.h"
 #include "qmap/service/translation_service.h"
 #include "qmap/wire/frame.h"
+#include "qmap/wire/messages.h"
 
 namespace qmap {
 
@@ -31,13 +32,13 @@ struct QmapServerOptions {
   /// A connection idle this long (no request in flight, no bytes arriving)
   /// is dropped.
   int idle_timeout_ms = 30000;
-  /// Admission control: translate requests running or queued on the worker
-  /// pool. A request arriving at the bound is answered immediately with
-  /// Unavailable rather than queued without limit.
+  /// Admission control: translate frames running or queued on the worker
+  /// pool. A frame arriving at the bound is answered immediately — every
+  /// source it lists with Unavailable — rather than queued without limit.
   int max_in_flight = 64;
-  /// Per-connection token bucket: sustained requests/second (0 = no quota)
-  /// with `quota_burst` of headroom. Requests past the bucket are answered
-  /// with Unavailable, not dropped.
+  /// Per-connection token bucket: sustained translate frames/second (0 = no
+  /// quota) with `quota_burst` of headroom. Frames past the bucket are
+  /// answered with Unavailable for every listed source, not dropped.
   double quota_tokens_per_sec = 0;
   double quota_burst = 32;
   /// Backpressure: with this many responses not yet handed to the kernel
@@ -55,11 +56,11 @@ struct QmapServerOptions {
 };
 
 struct QmapServerStats {
-  uint64_t requests = 0;           // translate requests decoded
-  uint64_t responses_ok = 0;
-  uint64_t responses_error = 0;    // responses carrying a Status
-  uint64_t rejected_overload = 0;  // admission-control rejections
-  uint64_t rejected_quota = 0;     // token-bucket rejections
+  uint64_t requests = 0;           // translate frames decoded
+  uint64_t responses_ok = 0;       // per-source replies carrying a translation
+  uint64_t responses_error = 0;    // per-source replies carrying a Status
+  uint64_t rejected_overload = 0;  // frames rejected by admission control
+  uint64_t rejected_quota = 0;     // frames rejected by the token bucket
   uint64_t malformed_frames = 0;   // connections dropped on protocol errors
   uint64_t catalog_requests = 0;
   uint64_t reloads = 0;            // SetService swaps after Start
@@ -68,7 +69,8 @@ struct QmapServerStats {
 
 /// The wire-protocol front door of a federation worker (and of a front-end
 /// exposing its merged catalog): length-prefixed translate/catalog frames
-/// over the shared EventLoop, translations executed on a worker pool, and
+/// over the shared EventLoop, each translate frame — one query, one or more
+/// sources — executed as one task on a worker pool, and
 /// the three overload levers every long-lived server needs — admission
 /// control, per-client quotas, and read backpressure.
 ///
@@ -112,6 +114,9 @@ class QmapServer : private ConnHandler {
   void OnClose(Conn& conn) override;
 
   void HandleTranslate(Conn& conn, std::string_view payload);
+  /// Answers every source `request` lists with `failure`. Loop thread.
+  void RejectTranslate(Conn& conn, const TranslateRequest& request,
+                       const Status& failure);
   void HandleCatalog(Conn& conn);
   /// Writes one response frame and re-arms the idle deadline. Loop thread.
   void Reply(Conn& conn, FrameType type, std::string_view payload);

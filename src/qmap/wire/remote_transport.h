@@ -23,8 +23,8 @@ struct RemoteTransportOptions {
   /// the transport.
   ResilienceClock* clock = nullptr;
   /// When set, registers/updates qmap_rpc_calls_total,
-  /// qmap_rpc_failures_total and qmap_rpc_latency_us. Must outlive the
-  /// transport.
+  /// qmap_rpc_failures_total and qmap_rpc_latency_us, all per wire call.
+  /// Must outlive the transport.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -32,13 +32,17 @@ struct RemoteTransportOptions {
 /// the qmap wire protocol. The query travels as ToParseableText and the
 /// worker's translation comes back through the shared body codec, so the
 /// result is byte-identical to translating in-process against the same rule
-/// set. Worker failures — connection refused, worker died mid-call,
-/// deadline expiry — surface as Unavailable / DeadlineExceeded, the same
-/// vocabulary a tripped breaker uses, so the front-end's resilience layer
-/// degrades around a dead worker exactly like around a sick local source.
+/// set. Remote transports with the same endpoint and the same WireClient
+/// share calls: TranslateMany sends one TranslateRequest listing all their
+/// sources, and Translate is its one-source case. Worker failures —
+/// connection refused, worker died mid-call, deadline expiry — surface as
+/// Unavailable / DeadlineExceeded, the same vocabulary a tripped breaker
+/// uses, so the front-end's resilience layer degrades around a dead worker
+/// exactly like around a sick local source.
 ///
 /// Thread-safe: the fan-out calls Translate concurrently (the WireClient
-/// pools one connection per concurrent call).
+/// gives each concurrent call its own connection, up to its per-endpoint
+/// bound).
 class RemoteTransport : public SourceTransport {
  public:
   /// `source` is the name the worker registered; `endpoint` is
@@ -51,6 +55,16 @@ class RemoteTransport : public SourceTransport {
   Result<Translation> Translate(const Query& full, Trace* trace,
                                 uint64_t parent_span, MatchMemo* memo,
                                 const CancelToken* cancel) override;
+
+  /// True for a RemoteTransport to the same endpoint over the same client.
+  bool SharesCallWith(const SourceTransport& other) const override;
+
+  /// One wire call — one "rpc.translate" span — for every member's source.
+  /// A failed call fails every member with its status; otherwise each
+  /// member gets the worker's reply for its source.
+  std::vector<Result<Translation>> TranslateMany(
+      std::span<SourceTransport* const> members, const Query& full,
+      Trace* trace, uint64_t parent_span, const CancelToken* cancel) override;
 
   std::string endpoint() const override { return endpoint_; }
   const std::string& source() const { return source_; }

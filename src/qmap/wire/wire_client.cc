@@ -56,9 +56,11 @@ WireClient::~WireClient() { CloseIdle(); }
 
 void WireClient::CloseIdle() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [endpoint, fds] : idle_) {
-    for (int fd : fds) ::close(fd);
-    fds.clear();
+  for (auto& [endpoint, pool] : pools_) {
+    for (int fd : pool.idle) ::close(fd);
+    pool.open -= pool.idle.size();
+    pool.idle.clear();
+    pool.released.notify_all();
   }
 }
 
@@ -67,25 +69,46 @@ WireClientStats WireClient::stats() const {
   return stats_;
 }
 
-int WireClient::PopIdle(const std::string& endpoint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = idle_.find(endpoint);
-  if (it == idle_.end() || it->second.empty()) return -1;
-  int fd = it->second.back();
-  it->second.pop_back();
-  return fd;
+Result<int> WireClient::Acquire(const std::string& endpoint,
+                                Clock::time_point deadline, bool* pooled) {
+  const size_t cap = options_.max_idle_per_endpoint;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    Pool& pool = pools_[endpoint];
+    while (pool.idle.empty() && cap > 0 && pool.open >= cap) {
+      if (pool.released.wait_until(lock, deadline) ==
+              std::cv_status::timeout &&
+          pool.idle.empty() && pool.open >= cap) {
+        return Status::DeadlineExceeded(
+            "wire client: no free connection to " + endpoint +
+            " before the deadline");
+      }
+    }
+    if (!pool.idle.empty()) {
+      const int fd = pool.idle.back();
+      pool.idle.pop_back();
+      *pooled = true;
+      return fd;
+    }
+    ++pool.open;
+  }
+  *pooled = false;
+  Result<int> fresh = Connect(endpoint);
+  if (!fresh.ok()) Release(endpoint, -1, /*reuse=*/false);
+  return fresh;
 }
 
-void WireClient::PushIdle(const std::string& endpoint, int fd) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<int>& fds = idle_[endpoint];
-    if (fds.size() < options_.max_idle_per_endpoint) {
-      fds.push_back(fd);
-      return;
-    }
+void WireClient::Release(const std::string& endpoint, int fd, bool reuse) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Pool& pool = pools_[endpoint];
+  if (reuse && options_.max_idle_per_endpoint > 0) {
+    pool.idle.push_back(fd);
+  } else {
+    if (fd >= 0) ::close(fd);
+    --pool.open;
   }
-  ::close(fd);
+  // One connection came back, so one waiter on this endpoint can use it.
+  pool.released.notify_one();
 }
 
 Result<int> WireClient::Connect(const std::string& endpoint) {
@@ -225,47 +248,46 @@ Result<std::pair<FrameType, std::string>> WireClient::Call(
     return result;
   };
 
-  bool pooled = true;
-  int fd = PopIdle(endpoint);
-  if (fd < 0) {
-    pooled = false;
-    Result<int> fresh = Connect(endpoint);
-    if (!fresh.ok()) return fail(fresh.status());
-    fd = *fresh;
-  } else {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(deadline_ms);
+  bool pooled = false;
+  Result<int> acquired = Acquire(endpoint, deadline, &pooled);
+  if (!acquired.ok()) return fail(acquired.status());
+  int fd = *acquired;
+  if (pooled) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.reuses += 1;
   }
+  // A wait for a free connection spends the same budget.
+  const auto remaining_ms = [&] {
+    return static_cast<uint32_t>(std::max(1, RemainingMs(deadline)));
+  };
 
   bool got_bytes = false;
   Result<std::pair<FrameType, std::string>> result =
-      CallOn(fd, type, payload, deadline_ms, &got_bytes);
-  if (result.ok()) {
-    PushIdle(endpoint, fd);
-    return result;
-  }
-  ::close(fd);
+      CallOn(fd, type, payload, remaining_ms(), &got_bytes);
   // A pooled connection that died before yielding any response byte is the
   // classic stale-idle case (worker restarted, server idle-timeout); one
   // fresh dial retries it safely — the request cannot have been observed.
-  if (!pooled || got_bytes ||
+  if (result.ok() || !pooled || got_bytes ||
       result.status().code() == StatusCode::kDeadlineExceeded) {
-    return fail(std::move(result));
+    Release(endpoint, fd, result.ok());
+    return result.ok() ? std::move(result) : fail(std::move(result));
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.retries += 1;
   }
+  ::close(fd);  // the stale connection's slot goes to the fresh dial
   Result<int> fresh = Connect(endpoint);
-  if (!fresh.ok()) return fail(fresh.status());
-  fd = *fresh;
-  result = CallOn(fd, type, payload, deadline_ms, &got_bytes);
-  if (result.ok()) {
-    PushIdle(endpoint, fd);
-    return result;
+  if (!fresh.ok()) {
+    Release(endpoint, -1, /*reuse=*/false);
+    return fail(fresh.status());
   }
-  ::close(fd);
-  return fail(std::move(result));
+  fd = *fresh;
+  result = CallOn(fd, type, payload, remaining_ms(), &got_bytes);
+  Release(endpoint, fd, result.ok());
+  return result.ok() ? std::move(result) : fail(std::move(result));
 }
 
 }  // namespace qmap

@@ -1,6 +1,8 @@
 #ifndef QMAP_WIRE_WIRE_CLIENT_H_
 #define QMAP_WIRE_WIRE_CLIENT_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -20,8 +22,11 @@ struct WireClientOptions {
   /// Default bound on one whole Call (send + response) when the caller
   /// passes no per-call deadline.
   int io_timeout_ms = 5000;
-  /// Idle connections kept per endpoint for reuse. 0 disables pooling
-  /// (every call dials fresh).
+  /// Connections per endpoint: at most this many are open at once, and
+  /// they are kept for reuse. A call that finds them all busy waits, within
+  /// its deadline, for one to come back — concurrent callers share a bounded
+  /// set of connections instead of each dialing its own. 0 disables pooling
+  /// (every call dials fresh, without a bound).
   size_t max_idle_per_endpoint = 4;
 };
 
@@ -76,13 +81,29 @@ class WireClient {
                                                    bool* got_bytes);
   /// Dials `endpoint` ("host:port", numeric host) within connect_timeout_ms.
   Result<int> Connect(const std::string& endpoint);
-  /// Pops a pooled idle fd for `endpoint`, or -1.
-  int PopIdle(const std::string& endpoint);
-  void PushIdle(const std::string& endpoint, int fd);
+  /// A connection to `endpoint`: a pooled idle one (*pooled = true), else a
+  /// fresh dial while fewer than max_idle_per_endpoint are open, else the
+  /// first one released before `deadline`.
+  Result<int> Acquire(const std::string& endpoint,
+                      std::chrono::steady_clock::time_point deadline,
+                      bool* pooled);
+  /// Gives an acquired connection back: pooled for reuse when `reuse`,
+  /// else closed (fd -1: the dial itself failed).
+  void Release(const std::string& endpoint, int fd, bool reuse);
+
+  /// One endpoint's connections. A Pool never moves (map nodes are
+  /// stable), so waiters can sleep on its condition variable.
+  struct Pool {
+    std::vector<int> idle;
+    size_t open = 0;  // idle plus in use
+    /// Signalled when one of this endpoint's connections comes back or
+    /// closes, so a release wakes a caller waiting on the same endpoint.
+    std::condition_variable released;
+  };
 
   const WireClientOptions options_;
   std::mutex mu_;
-  std::map<std::string, std::vector<int>> idle_;  // guarded by mu_
+  std::map<std::string, Pool> pools_;  // guarded by mu_
   mutable std::mutex stats_mu_;
   WireClientStats stats_;  // guarded by stats_mu_
 };

@@ -16,6 +16,7 @@
 
 #include "qmap/contexts/synthetic.h"
 #include "qmap/expr/printer.h"
+#include "qmap/service/fault_injection.h"
 #include "qmap/service/source_transport.h"
 #include "qmap/service/translation_service.h"
 #include "qmap/wire/host_map.h"
@@ -90,10 +91,12 @@ struct Worker {
 };
 
 Worker StartWorker(const std::vector<std::pair<std::string, MappingSpec>>&
-                       sources) {
+                       sources,
+                   FaultInjector* injector = nullptr) {
   Worker worker;
   ServiceOptions options;
   options.num_threads = 1;
+  options.fault_injector = injector;
   worker.service = std::make_shared<TranslationService>(options);
   for (const auto& [name, spec] : sources) {
     worker.service->AddSource(name, spec);
@@ -178,6 +181,89 @@ TEST(FederationService, ThreeShapesTranslateByteIdentically) {
     EXPECT_EQ(Render(*b), want) << ToParseableText(query);
     EXPECT_EQ(Render(*c), want) << ToParseableText(query);
     EXPECT_TRUE(c->partial.complete());
+  }
+
+  worker0.server->Stop();
+  worker1.server->Stop();
+}
+
+TEST(FederationService, OneRoundTripPerWorkerPerRequest) {
+  // Four sources on two workers, front-end cache off: every Translate sends
+  // each worker one frame listing its sources, not one frame per source.
+  auto federation = SyntheticFederation();
+  auto single = SingleProcessService();
+  std::vector<std::pair<std::string, MappingSpec>> shard0(
+      federation.begin(), federation.begin() + 2);
+  std::vector<std::pair<std::string, MappingSpec>> shard1(
+      federation.begin() + 2, federation.end());
+  Worker worker0 = StartWorker(shard0);
+  Worker worker1 = StartWorker(shard1);
+  auto client = std::make_shared<WireClient>();
+  ServiceOptions options = BaseServiceOptions();
+  options.enable_cache = false;
+  auto frontend = RemoteFrontEnd({&worker0, &worker1}, client, options);
+
+  for (const Query& query : TestQueries(10)) {
+    const uint64_t calls_before = client->stats().calls;
+    Result<MediatorTranslation> got = frontend->Translate(query);
+    Result<MediatorTranslation> want = single->Translate(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(client->stats().calls - calls_before, 2u)
+        << ToParseableText(query);
+    EXPECT_EQ(Render(*got), Render(*want)) << ToParseableText(query);
+  }
+  EXPECT_EQ(worker0.server->stats().responses_ok, 2u * 10);
+  EXPECT_EQ(worker1.server->stats().responses_ok, 2u * 10);
+
+  worker0.server->Stop();
+  worker1.server->Stop();
+}
+
+TEST(FederationService, FailedSourceOnAWorkerLeavesItsBatchMatesIntact) {
+  // S1 fails on its worker (a worker-side fault) for good. It shares a
+  // frame with S0; S2 and S3 sit on the other worker. The answer drops S1
+  // alone, every survivor is byte-identical to the single-process service,
+  // and F is the F of a federation that never had S1.
+  auto federation = SyntheticFederation();
+  std::vector<std::pair<std::string, MappingSpec>> shard0(
+      federation.begin(), federation.begin() + 2);
+  std::vector<std::pair<std::string, MappingSpec>> shard1(
+      federation.begin() + 2, federation.end());
+  FaultInjector worker_faults(11);
+  worker_faults.FailNext("S1", 1 << 20);
+  Worker worker0 = StartWorker(shard0, &worker_faults);
+  Worker worker1 = StartWorker(shard1);
+  auto client = std::make_shared<WireClient>();
+  ServiceOptions options = BaseServiceOptions();
+  options.enable_cache = false;
+  options.resilience.enabled = true;
+  options.resilience.retry.max_attempts = 2;
+  options.resilience.retry.initial_backoff_us = 100;
+  options.resilience.retry.max_backoff_us = 100;
+  auto frontend = RemoteFrontEnd({&worker0, &worker1}, client, options);
+
+  auto survivors = std::make_unique<TranslationService>(BaseServiceOptions());
+  for (const auto& [name, spec] : federation) {
+    if (name != "S1") survivors->AddSource(name, spec);
+  }
+
+  // Three queries: S1's six failures stay under the front-end breaker's
+  // eight-sample minimum, so every query retries it.
+  for (const Query& query : TestQueries(3)) {
+    const uint64_t calls_before = client->stats().calls;
+    Result<MediatorTranslation> got = frontend->Translate(query);
+    Result<MediatorTranslation> want = survivors->Translate(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(got->partial.failed.size(), 1u);
+    EXPECT_EQ(got->partial.failed[0].source, "S1");
+    EXPECT_EQ(got->partial.failed[0].status.code(), StatusCode::kUnavailable)
+        << got->partial.failed[0].status.ToString();
+    EXPECT_EQ(got->partial.failed[0].attempts, 2u);
+    EXPECT_EQ(Render(*got), Render(*want)) << ToParseableText(query);
+    // One frame per worker, then the retry re-sends S1 alone.
+    EXPECT_EQ(client->stats().calls - calls_before, 3u);
   }
 
   worker0.server->Stop();

@@ -12,6 +12,8 @@
 #include <functional>
 #include <latch>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "qmap/mediator/mediator.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/service/fault_injection.h"
+#include "qmap/service/source_transport.h"
 #include "qmap/service/thread_pool.h"
 #include "qmap/service/translation_service.h"
 #include "test_util.h"
@@ -963,6 +966,234 @@ TEST(ResilientGather, PermanentFailureFailsAllThreeCallers) {
   for (const Status& status : statuses) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped sources: one call per group and round
+
+/// Every call the group transports made, as the sources each one carried.
+struct CallLog {
+  std::mutex mu;
+  std::vector<std::vector<std::string>> calls;
+
+  std::vector<std::vector<std::string>> Calls() {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls;
+  }
+};
+
+/// A stand-in for remote sources on one worker: transports with the same
+/// group and log share calls, as RemoteTransports to one endpoint do. Each
+/// call is logged with the sources it carries; each source translates
+/// in-process.
+class GroupTransport : public SourceTransport {
+ public:
+  GroupTransport(std::string source, MappingSpec spec, int group,
+                 std::shared_ptr<CallLog> log)
+      : source_(std::move(source)),
+        translator_(std::move(spec), TranslatorOptions{}),
+        group_(group),
+        log_(std::move(log)) {}
+
+  Result<Translation> Translate(const Query& full, Trace* trace,
+                                uint64_t parent_span, MatchMemo*,
+                                const CancelToken* cancel) override {
+    SourceTransport* self = this;
+    return std::move(
+        TranslateMany(std::span(&self, 1), full, trace, parent_span, cancel)
+            .front());
+  }
+
+  bool SharesCallWith(const SourceTransport& other) const override {
+    const auto* peer = dynamic_cast<const GroupTransport*>(&other);
+    return peer != nullptr && peer->group_ == group_ && peer->log_ == log_;
+  }
+
+  std::vector<Result<Translation>> TranslateMany(
+      std::span<SourceTransport* const> members, const Query& full,
+      Trace* trace, uint64_t parent_span, const CancelToken*) override {
+    std::vector<std::string> carried;
+    std::vector<Result<Translation>> out;
+    for (SourceTransport* member : members) {
+      auto* peer = static_cast<GroupTransport*>(member);
+      carried.push_back(peer->source_);
+      out.push_back(peer->translator_.Translate(full, trace, parent_span));
+    }
+    std::lock_guard<std::mutex> lock(log_->mu);
+    log_->calls.push_back(std::move(carried));
+    return out;
+  }
+
+ private:
+  const std::string source_;
+  const Translator translator_;
+  const int group_;
+  const std::shared_ptr<CallLog> log_;
+};
+
+/// MakeResilientService's federation behind GroupTransports: source S<m>
+/// is in group group_of[m].
+std::unique_ptr<TranslationService> MakeGroupedService(
+    FaultInjector* injector, ManualClock* clock, ResilienceOptions resilience,
+    const std::vector<int>& group_of, const std::shared_ptr<CallLog>& log) {
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.enable_cache = false;
+  options.resilience = resilience;
+  options.resilience.enabled = true;
+  options.fault_injector = injector;
+  options.clock = clock;
+  auto service = std::make_unique<TranslationService>(options);
+  SyntheticFederationOptions fed;
+  fed.num_members = kNumSources;
+  for (int m = 0; m < kNumSources; ++m) {
+    Result<MappingSpec> spec = MakeSyntheticSpec(SyntheticMemberOptions(fed, m));
+    EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+    const std::string name = "S" + std::to_string(m);
+    service->AddRemoteSource(
+        name, static_cast<uint64_t>(m + 1),
+        std::make_shared<GroupTransport>(name, *std::move(spec),
+                                         group_of[static_cast<size_t>(m)], log));
+  }
+  return service;
+}
+
+using CallList = std::vector<std::vector<std::string>>;
+
+TEST(ResilientGroup, SourceFailingOnceIsRetriedAlone) {
+  const Query q = Q("[a0 = 1] and ([a1 = 2] or [a2 = 3])");
+  auto reference = MakeResilientService(nullptr, nullptr);
+  Result<MediatorTranslation> want = reference->Translate(q);
+  ASSERT_TRUE(want.ok());
+
+  FaultInjector injector(7);
+  injector.FailNext("S1", 1);
+  ManualClock clock;
+  ResilienceOptions resilience;
+  resilience.retry.max_attempts = 3;
+  auto log = std::make_shared<CallLog>();
+  auto service =
+      MakeGroupedService(&injector, &clock, resilience, {0, 0, 0, 0}, log);
+  Result<MediatorTranslation> got = service->Translate(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->partial.complete());
+  EXPECT_EQ(Render(*got), Render(*want));
+  // The first round carries the three healthy sources; the retry round
+  // re-sends S1 alone.
+  EXPECT_EQ(log->Calls(), (CallList{{"S0", "S2", "S3"}, {"S1"}}));
+  EXPECT_EQ(got->stats.retries, 1u);
+  EXPECT_EQ(service->stats().inline_tasks, 1u);  // one unit for the group
+  EXPECT_GT(clock.NowUs(), 0u);                  // one backoff
+}
+
+TEST(ResilientGroup, PersistentlyFailingSourceIsDroppedAsPartial) {
+  const Query q = Q("([a0 = 1] or [a1 = 2]) and [a2 = 3] and [a3 = 0]");
+  auto reference = MakeResilientService(nullptr, nullptr);
+  Result<MediatorTranslation> want = reference->Translate(q);
+  ASSERT_TRUE(want.ok());
+
+  FaultInjector injector(7);
+  injector.FailNext("S2", 1000);
+  ManualClock clock;
+  ResilienceOptions resilience;
+  resilience.retry.max_attempts = 3;
+  auto log = std::make_shared<CallLog>();
+  auto service =
+      MakeGroupedService(&injector, &clock, resilience, {0, 0, 0, 0}, log);
+  Result<MediatorTranslation> got = service->Translate(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->partial.failed.size(), 1u);
+  EXPECT_EQ(got->partial.failed[0].source, "S2");
+  EXPECT_EQ(got->partial.failed[0].status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(got->partial.failed[0].attempts, 3u);
+  EXPECT_EQ(got->stats.retries, 2u);
+  // The other sources answered in the first call, as in the fault-free run.
+  ASSERT_EQ(got->per_source.size(), 3u);
+  for (const auto& [name, translation] : got->per_source) {
+    const Translation& ref = want->per_source.at(name);
+    EXPECT_EQ(ToParseableText(translation.mapped), ToParseableText(ref.mapped))
+        << name;
+    EXPECT_EQ(ToParseableText(translation.filter), ToParseableText(ref.filter))
+        << name;
+  }
+  // S2's faults are injected in front of the call, so its retry rounds
+  // carry nobody and make no call.
+  EXPECT_EQ(log->Calls(), (CallList{{"S0", "S1", "S3"}}));
+}
+
+TEST(ResilientGroup, BreakerOpenSourceNeverJoinsTheCall) {
+  FaultInjector injector(7);
+  injector.FailNext("S0", 1000);
+  ManualClock clock;
+  ResilienceOptions resilience;
+  resilience.retry.max_attempts = 1;
+  resilience.breaker.window = 4;
+  resilience.breaker.min_samples = 4;
+  resilience.breaker.open_threshold = 1.0;
+  resilience.breaker.cooldown_us = 1000000;
+  auto log = std::make_shared<CallLog>();
+  auto service =
+      MakeGroupedService(&injector, &clock, resilience, {0, 0, 0, 0}, log);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(service->Translate(Q("[a0 = " + std::to_string(i) + "]")).ok());
+  }
+  ASSERT_EQ(service->resilience()->breaker_state("S0"),
+            CircuitBreaker::State::kOpen);
+
+  const size_t calls_before = log->Calls().size();
+  const uint64_t faults_before = injector.faults_injected();
+  Result<MediatorTranslation> got = service->Translate(Q("[a0 = 9]"));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->partial.failed.size(), 1u);
+  EXPECT_EQ(got->partial.failed[0].source, "S0");
+  EXPECT_EQ(got->partial.failed[0].attempts, 0u);
+  EXPECT_EQ(got->stats.breaker_rejections, 1u);
+  EXPECT_EQ(injector.faults_injected(), faults_before);  // S0 drew no fault
+  const CallList calls = log->Calls();
+  ASSERT_EQ(calls.size(), calls_before + 1);
+  EXPECT_EQ(calls.back(), (std::vector<std::string>{"S1", "S2", "S3"}));
+}
+
+TEST(ResilientGroup, StallPastTheBudgetFailsEveryMemberOfItsRound) {
+  // Groups {S0, S1} and {S2, S3}. S0 stalls past the budget inside the
+  // first group's call: the call would answer too late for both of its
+  // sources, so both fail with DeadlineExceeded and no call is made. The
+  // other group is untouched.
+  const Query q = Q("[a0 = 1] and [a1 = 2] and [a2 = 3]");
+  auto reference = MakeResilientService(nullptr, nullptr);
+  Result<MediatorTranslation> want = reference->Translate(q);
+  ASSERT_TRUE(want.ok());
+
+  FaultInjector injector(7);
+  injector.StallNext("S0", 1, /*stall_us=*/10000);
+  ManualClock clock;
+  ResilienceOptions resilience;
+  resilience.source_deadline_us = 5000;
+  resilience.retry.max_attempts = 3;
+  auto log = std::make_shared<CallLog>();
+  auto service =
+      MakeGroupedService(&injector, &clock, resilience, {0, 0, 1, 1}, log);
+  Result<MediatorTranslation> got = service->Translate(q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->partial.failed.size(), 2u);
+  EXPECT_EQ(got->partial.failed[0].source, "S0");
+  EXPECT_EQ(got->partial.failed[0].status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(got->partial.failed[0].status.message().find("stalled past its"),
+            std::string::npos)
+      << got->partial.failed[0].status.ToString();
+  EXPECT_EQ(got->partial.failed[1].source, "S1");
+  EXPECT_EQ(got->partial.failed[1].status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(got->partial.failed[1].status.message().find("shared a call"),
+            std::string::npos)
+      << got->partial.failed[1].status.ToString();
+  EXPECT_EQ(got->stats.deadline_hits, 2u);
+  for (const std::string name : {"S2", "S3"}) {
+    ASSERT_EQ(got->per_source.count(name), 1u) << name;
+    EXPECT_EQ(ToParseableText(got->per_source.at(name).mapped),
+              ToParseableText(want->per_source.at(name).mapped));
+  }
+  EXPECT_EQ(log->Calls(), (CallList{{"S2", "S3"}}));
+  EXPECT_EQ(clock.NowUs(), 10000u);  // the stall, slept once
 }
 
 // ---------------------------------------------------------------------------

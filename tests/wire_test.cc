@@ -11,14 +11,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qmap/contexts/synthetic.h"
 #include "qmap/expr/printer.h"
+#include "qmap/service/fault_injection.h"
 #include "qmap/service/translation_service.h"
 #include "qmap/wire/frame.h"
 #include "qmap/wire/messages.h"
@@ -124,6 +128,19 @@ TEST(WireFrame, CorruptionIsMalformedNeverUb) {
   }
 }
 
+TEST(WireFrame, VersionOneFramesAreMalformed) {
+  // A peer built before multi-source translate messages speaks version 1:
+  // its frames are rejected at the header instead of being misparsed.
+  std::string frame = EncodeFrame(FrameType::kTranslateRequest, "payload");
+  EXPECT_EQ(static_cast<int>(frame[4]), 2);
+  frame[4] = 1;
+  FrameType type;
+  std::string_view payload;
+  size_t frame_len = 0;
+  EXPECT_EQ(DecodeFrame(frame, &type, &payload, &frame_len),
+            FrameDecodeResult::kMalformed);
+}
+
 TEST(WireFrame, SeededRandomBytesNeverCrashTheDecoder) {
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int> byte(0, 255);
@@ -189,6 +206,82 @@ TEST(WireMessages, TranslateResponseRoundTripsBothArms) {
   }
 }
 
+TEST(WireMessages, MultiSourceRequestRoundTrips) {
+  TranslateRequest request;
+  request.request_id = 43;
+  request.source = "S0";
+  request.query_text = "[a0 = 1] and [a1 = 2]";
+  request.deadline_ms = 120;
+  request.further_sources = {"S2", "S1", ""};
+  auto back = DecodeTranslateRequest(EncodeTranslateRequest(request));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->request_id, 43u);
+  EXPECT_EQ(back->source, "S0");
+  EXPECT_EQ(back->query_text, request.query_text);
+  EXPECT_EQ(back->deadline_ms, 120u);
+  EXPECT_EQ(back->further_sources, request.further_sources);
+}
+
+TEST(WireMessages, ResponseMixingTranslationsAndStatusesRoundTrips) {
+  TranslateResponse response;
+  response.request_id = 9;
+  response.failure = Status::DeadlineExceeded("first source too slow");
+  response.further.resize(3);
+  response.further[0].ok = true;
+  response.further[0].value.mapped = Q("[a = 1] or [b = 2]");
+  response.further[0].value.filter = Q("[c = 3]");
+  response.further[0].value.coverage.RestoreEntry(0x1234, false);
+  response.further[1].failure = Status::NotFound("unknown source: X");
+  response.further[2].ok = true;
+  response.further[2].value.mapped = Q("[d = 4]");
+  response.further[2].value.filter = Query::True();
+  auto back = DecodeTranslateResponse(EncodeTranslateResponse(response));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->request_id, 9u);
+  EXPECT_FALSE(back->ok);
+  EXPECT_EQ(back->failure.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(back->failure.message(), "first source too slow");
+  ASSERT_EQ(back->further.size(), 3u);
+  for (size_t k : {size_t{0}, size_t{2}}) {
+    ASSERT_TRUE(back->further[k].ok) << k;
+    EXPECT_EQ(ToParseableText(back->further[k].value.mapped),
+              ToParseableText(response.further[k].value.mapped));
+    EXPECT_EQ(ToParseableText(back->further[k].value.filter),
+              ToParseableText(response.further[k].value.filter));
+    EXPECT_EQ(back->further[k].value.coverage.Entries(),
+              response.further[k].value.coverage.Entries());
+  }
+  EXPECT_FALSE(back->further[1].ok);
+  EXPECT_EQ(back->further[1].failure.code(), StatusCode::kNotFound);
+  EXPECT_EQ(back->further[1].failure.message(), "unknown source: X");
+}
+
+TEST(WireMessages, SourceCountBeyondThePayloadFailsWithoutAllocating) {
+  // A count the remaining bytes cannot hold fails before anything is
+  // reserved for it. 0xFFFFFFFF slots would take far more memory than any
+  // host has, so a decoder that reserved by the count would throw
+  // bad_alloc here rather than return an error.
+  const std::string huge_count = "\xff\xff\xff\xff";
+  TranslateRequest request;
+  request.request_id = 1;
+  request.source = "S";
+  request.query_text = "[a = 1]";
+  std::string req = EncodeTranslateRequest(request);
+  req.replace(req.size() - 4, 4, huge_count);  // the count ends the payload
+  EXPECT_FALSE(DecodeTranslateRequest(req).ok());
+  req += std::string(64, 'x');  // bytes for a few names, not for 2^32
+  EXPECT_FALSE(DecodeTranslateRequest(req).ok());
+
+  TranslateResponse response;
+  response.request_id = 1;
+  response.failure = Status::Unavailable("down");
+  std::string resp = EncodeTranslateResponse(response);
+  resp.replace(resp.size() - 4, 4, huge_count);
+  EXPECT_FALSE(DecodeTranslateResponse(resp).ok());
+  resp += std::string(64, 'x');
+  EXPECT_FALSE(DecodeTranslateResponse(resp).ok());
+}
+
 TEST(WireMessages, CatalogResponseRoundTrips) {
   CatalogResponse catalog;
   catalog.sources.push_back({"S0", 0x1111});
@@ -216,9 +309,22 @@ TEST(WireMessages, CorruptedPayloadsFailCleanly) {
   response.value.filter = Query::True();
   const std::string resp = EncodeTranslateResponse(response);
 
+  // Multi-source payloads join the same loops as further inputs.
+  TranslateRequest multi_request = request;
+  multi_request.further_sources = {"T", "Uvw"};
+  const std::string multi_req = EncodeTranslateRequest(multi_request);
+  TranslateResponse multi_response = response;
+  multi_response.further.resize(2);
+  multi_response.further[0].failure = Status::Unavailable("worker busy");
+  multi_response.further[1].ok = true;
+  multi_response.further[1].value.mapped = Q("[b = 2] or [c = 3]");
+  multi_response.further[1].value.filter = Query::True();
+  multi_response.further[1].value.coverage.RestoreEntry(7, true);
+  const std::string multi_resp = EncodeTranslateResponse(multi_response);
+
   std::mt19937 rng(97);
   std::uniform_int_distribution<int> byte(0, 255);
-  for (const std::string& base : {req, resp}) {
+  for (const std::string& base : {req, resp, multi_req, multi_resp}) {
     // Every truncation either fails or (for the request codec, where a
     // trailing field could in principle be cut clean) decodes — never UB.
     for (size_t n = 0; n < base.size(); ++n) {
@@ -241,6 +347,18 @@ TEST(WireMessages, CorruptedPayloadsFailCleanly) {
   EXPECT_FALSE(
       DecodeTranslateResponse(std::string_view(resp).substr(0, resp.size() - 1))
           .ok());
+  // Every field is length-prefixed or counted, so no strict prefix of a
+  // multi-source payload decodes.
+  for (size_t n = 0; n < multi_req.size(); ++n) {
+    EXPECT_FALSE(
+        DecodeTranslateRequest(std::string_view(multi_req).substr(0, n)).ok())
+        << "request prefix " << n;
+  }
+  for (size_t n = 0; n < multi_resp.size(); ++n) {
+    EXPECT_FALSE(
+        DecodeTranslateResponse(std::string_view(multi_resp).substr(0, n)).ok())
+        << "response prefix " << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,6 +427,111 @@ TEST(QmapServer, TranslateMatchesInProcessByteForByte) {
   QmapServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.responses_ok, 1u);
+  server.Stop();
+}
+
+TEST(QmapServer, OneFrameAnswersEveryListedSourceInOrder) {
+  // Two service threads: of a frame's misses, the server thread translates
+  // one and the pool the rest.
+  ServiceOptions service_options;
+  service_options.num_threads = 2;
+  auto service = std::make_shared<TranslationService>(service_options);
+  for (auto& [name, spec] : SyntheticFederation()) {
+    service->AddSource(name, spec);
+  }
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  QmapServer server(options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
+
+  const Query query = Q("([a0 = 1] or [a2 = 2]) and [a1 = 3]");
+  TranslateRequest request;
+  request.source = "S3";
+  request.query_text = ToParseableText(query);
+  request.further_sources = {"S0", "no-such-source", "S2", "S1"};
+  const std::vector<std::string> listed = {"S3", "S0", "no-such-source", "S2",
+                                           "S1"};
+  WireClient client;
+  for (uint64_t id : {1u, 2u}) {  // all misses, then all cache hits
+    request.request_id = id;
+    auto reply = client.Call(endpoint, FrameType::kTranslateRequest,
+                             EncodeTranslateRequest(request));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto response = DecodeTranslateResponse(reply->second);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->request_id, id);
+    ASSERT_EQ(response->further.size(), listed.size() - 1);
+    for (size_t k = 0; k < listed.size(); ++k) {
+      const SourceReply& got = k == 0 ? *response : response->further[k - 1];
+      Result<Translation> want = service->TranslateSource(listed[k], query);
+      ASSERT_EQ(got.ok, want.ok()) << listed[k];
+      if (!want.ok()) {
+        EXPECT_EQ(got.failure.code(), StatusCode::kNotFound);
+        continue;
+      }
+      EXPECT_EQ(ToParseableText(got.value.mapped),
+                ToParseableText(want->mapped))
+          << listed[k];
+      EXPECT_EQ(ToParseableText(got.value.filter),
+                ToParseableText(want->filter))
+          << listed[k];
+      EXPECT_EQ(got.value.coverage.Entries(), want->coverage.Entries());
+    }
+  }
+  const QmapServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 2u);  // frames, not sources
+  EXPECT_EQ(stats.responses_ok, 8u);
+  EXPECT_EQ(stats.responses_error, 2u);
+  server.Stop();
+}
+
+TEST(QmapServer, RejectedFrameAnswersEveryListedSourceUnavailable) {
+  auto service = MakeWorkerService();
+  QmapServerOptions options;
+  options.quota_tokens_per_sec = 0.001;  // effectively no refill in-test
+  options.quota_burst = 1;
+  QmapServer server(options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
+
+  TranslateRequest request;
+  request.source = "S0";
+  request.query_text = "[a0 = 1]";
+  request.further_sources = {"S1", "S2"};
+  WireClient client;
+  // The bucket holds one token: one frame of three sources spends it.
+  request.request_id = 1;
+  auto first = client.Call(endpoint, FrameType::kTranslateRequest,
+                           EncodeTranslateRequest(request));
+  ASSERT_TRUE(first.ok());
+  auto first_response = DecodeTranslateResponse(first->second);
+  ASSERT_TRUE(first_response.ok());
+  EXPECT_TRUE(first_response->ok);
+  ASSERT_EQ(first_response->further.size(), 2u);
+  EXPECT_TRUE(first_response->further[0].ok);
+  EXPECT_TRUE(first_response->further[1].ok);
+
+  request.request_id = 2;
+  auto second = client.Call(endpoint, FrameType::kTranslateRequest,
+                            EncodeTranslateRequest(request));
+  ASSERT_TRUE(second.ok());
+  auto second_response = DecodeTranslateResponse(second->second);
+  ASSERT_TRUE(second_response.ok());
+  EXPECT_EQ(second_response->request_id, 2u);
+  EXPECT_FALSE(second_response->ok);
+  EXPECT_EQ(second_response->failure.code(), StatusCode::kUnavailable);
+  ASSERT_EQ(second_response->further.size(), 2u);
+  for (const SourceReply& reply : second_response->further) {
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.failure.code(), StatusCode::kUnavailable);
+  }
+  const QmapServerStats stats = server.stats();
+  EXPECT_EQ(stats.rejected_quota, 1u);  // one frame, one rejection
+  EXPECT_EQ(stats.responses_ok, 3u);
+  EXPECT_EQ(stats.responses_error, 3u);
   server.Stop();
 }
 
@@ -503,6 +726,128 @@ TEST(WireClient, StalePooledConnectionIsRetriedOnce) {
   EXPECT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(client.stats().retries, 1u);
   second.Stop();
+}
+
+TEST(WireClient, ConcurrentCallersShareABoundedSetOfConnections) {
+  // Eight threads calling at once through a two-connection client: the
+  // calls queue for the two connections instead of dialing one each.
+  auto service = MakeWorkerService();
+  QmapServerOptions server_options;
+  server_options.poll_interval_ms = 5;
+  QmapServer server(server_options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
+  WireClientOptions options;
+  options.max_idle_per_endpoint = 2;
+  WireClient client(options);
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 20;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        if (!client.Call(endpoint, FrameType::kCatalogRequest, "").ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  const WireClientStats stats = client.stats();
+  EXPECT_EQ(stats.calls, static_cast<uint64_t>(kThreads * kCalls));
+  EXPECT_LE(stats.connects, 2u);
+  EXPECT_EQ(stats.reuses, stats.calls - stats.connects);
+  EXPECT_LE(server.stats().net.accepted, 2u);
+  server.Stop();
+}
+
+TEST(WireClient, AReleaseWakesACallerOfTheSameEndpoint) {
+  // Two workers behind one client with one connection each. A slow call
+  // holds the first worker's connection and a fast one the second's; then
+  // callers queue behind them, the fast worker's two between two of the
+  // slow worker's, so the first and the last waiter are both slow ones.
+  // Each fast call that ends must wake a caller of its own endpoint. Waking
+  // a slow worker's caller instead leaves the fast worker's callers asleep,
+  // their connection idle, until the slow call ends — and a caller still
+  // asleep when the calls run out sleeps until its deadline.
+  const auto make_service = [](FaultInjector* faults, uint64_t stall_us) {
+    ServiceOptions options;
+    options.num_threads = 1;
+    options.enable_cache = false;  // every call reaches its stall
+    options.fault_injector = faults;
+    auto service = std::make_shared<TranslationService>(options);
+    for (auto& [name, spec] : SyntheticFederation()) {
+      service->AddSource(name, spec);
+      faults->SetStallRate(name, 1.0, stall_us);
+    }
+    return service;
+  };
+  FaultInjector slow_faults;
+  FaultInjector fast_faults;
+  QmapServerOptions server_options;
+  server_options.poll_interval_ms = 5;
+  QmapServer slow(server_options);
+  QmapServer fast(server_options);
+  slow.SetService(make_service(&slow_faults, 150'000));
+  fast.SetService(make_service(&fast_faults, 20'000));
+  ASSERT_TRUE(slow.Start().ok());
+  ASSERT_TRUE(fast.Start().ok());
+  const std::string slow_endpoint = "127.0.0.1:" + std::to_string(slow.port());
+  const std::string fast_endpoint = "127.0.0.1:" + std::to_string(fast.port());
+
+  TranslateRequest request;
+  request.source = SyntheticFederation().front().first;
+  request.query_text = "[a0 = 1]";
+  const std::string payload = EncodeTranslateRequest(request);
+  WireClientOptions options;
+  options.max_idle_per_endpoint = 1;
+  WireClient client(options);
+  constexpr uint32_t kDeadlineMs = 3000;
+  // Started in this order, a few milliseconds apart: the two holders, then
+  // the four queued callers.
+  constexpr int kCallers = 6;
+  constexpr int kSlowHolder = 0;
+  constexpr int kFastWaiters[] = {3, 4};
+  const std::string* endpoints[kCallers] = {&slow_endpoint, &fast_endpoint,
+                                            &slow_endpoint, &fast_endpoint,
+                                            &fast_endpoint, &slow_endpoint};
+  bool ok[kCallers] = {};
+  std::chrono::steady_clock::time_point started[kCallers];
+  std::chrono::steady_clock::time_point finished[kCallers];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCallers; ++t) {
+    started[t] = std::chrono::steady_clock::now();
+    threads.emplace_back([&, t] {
+      auto reply = client.Call(*endpoints[t], FrameType::kTranslateRequest,
+                               payload, kDeadlineMs);
+      ok[t] = reply.ok() && reply->first == FrameType::kTranslateResponse;
+      finished[t] = std::chrono::steady_clock::now();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_TRUE(ok[t]) << "caller " << t;
+    EXPECT_LT(finished[t] - started[t],
+              std::chrono::milliseconds(kDeadlineMs / 2))
+        << "caller " << t;
+  }
+  // The fast worker's queued callers wait for the fast calls only.
+  const auto ms_in = [&](std::chrono::steady_clock::time_point at) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               at - started[0])
+        .count();
+  };
+  for (int t : kFastWaiters) {
+    EXPECT_LT(ms_in(finished[t]), ms_in(finished[kSlowHolder]))
+        << "caller " << t;
+  }
+  EXPECT_EQ(client.stats().connects, 2u);
+  slow.Stop();
+  fast.Stop();
 }
 
 }  // namespace
