@@ -1,6 +1,7 @@
 #ifndef QMAP_COMMON_FNV_H_
 #define QMAP_COMMON_FNV_H_
 
+#include <charconv>
 #include <cstdint>
 #include <string_view>
 
@@ -25,6 +26,14 @@ class Fnv64 {
   Fnv64& Add(std::string_view s) {
     for (unsigned char c : s) AddByte(c);
     return *this;
+  }
+
+  /// Folds in the decimal digits of `v`, the bytes printf's "%lld" and
+  /// std::to_string render for it.
+  Fnv64& AddDecimal(int64_t v) {
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    return Add(std::string_view(buf, static_cast<size_t>(end - buf)));
   }
 
   /// Folds a finished 64-bit hash (or any integer tag) into the stream as

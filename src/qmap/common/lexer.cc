@@ -1,7 +1,9 @@
 #include "qmap/common/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 
 namespace qmap {
 namespace {
@@ -14,10 +16,27 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
 }
 
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+// The value strtod gives `text`, a number literal (-?[0-9.]+). from_chars
+// rounds the same way; it only declines values beyond double's range, which
+// strtod clamps (to infinity or zero).
+double NumberValue(std::string_view text) {
+  double value = 0;
+  const std::from_chars_result r =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (r.ec == std::errc::result_out_of_range) {
+    return std::strtod(std::string(text).c_str(), nullptr);
+  }
+  return value;
+}
+
 }  // namespace
 
-Result<std::vector<Token>> Lexer::Tokenize(std::string_view input) {
-  std::vector<Token> out;
+Status TokenCursor::Reset(std::string_view input) {
+  tokens_.clear();
+  unescaped_.clear();
+  pos_ = 0;
   size_t i = 0;
   while (i < input.size()) {
     char c = input[i];
@@ -36,84 +55,96 @@ Result<std::vector<Token>> Lexer::Tokenize(std::string_view input) {
       size_t start = i;
       while (i < input.size() && IsIdentChar(input[i])) ++i;
       token.kind = TokenKind::kIdent;
-      token.text = std::string(input.substr(start, i - start));
-      out.push_back(std::move(token));
+      token.text = input.substr(start, i - start);
+      tokens_.push_back(token);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && i + 1 < input.size() &&
-         std::isdigit(static_cast<unsigned char>(input[i + 1])))) {
+    if (IsDigit(c) || (c == '-' && i + 1 < input.size() && IsDigit(input[i + 1]))) {
       size_t start = i;
       if (c == '-') ++i;
       bool fractional = false;
-      while (i < input.size() &&
-             (std::isdigit(static_cast<unsigned char>(input[i])) || input[i] == '.')) {
+      while (i < input.size() && (IsDigit(input[i]) || input[i] == '.')) {
         if (input[i] == '.') {
           // ".." or ".x" where x isn't a digit terminates the number.
-          if (i + 1 >= input.size() ||
-              !std::isdigit(static_cast<unsigned char>(input[i + 1]))) {
-            break;
-          }
+          if (i + 1 >= input.size() || !IsDigit(input[i + 1])) break;
           fractional = true;
         }
         ++i;
       }
       token.kind = TokenKind::kNumber;
-      token.text = std::string(input.substr(start, i - start));
-      token.number = std::strtod(token.text.c_str(), nullptr);
+      token.text = input.substr(start, i - start);
+      token.number = NumberValue(token.text);
       token.is_integer = !fractional;
-      out.push_back(std::move(token));
+      tokens_.push_back(token);
       continue;
     }
     if (c == '"') {
-      ++i;
-      std::string literal;
-      while (i < input.size() && input[i] != '"') {
-        if (input[i] == '\\' && i + 1 < input.size()) ++i;
-        literal.push_back(input[i]);
-        ++i;
+      const size_t start = ++i;
+      while (i < input.size() && input[i] != '"' && input[i] != '\\') ++i;
+      if (i < input.size() && input[i] == '"') {
+        token.text = input.substr(start, i - start);
+      } else {
+        // Escapes: unescape into the side buffer. All literals together
+        // unescape to fewer bytes than the input holds, so with that much
+        // reserved the buffer never moves under earlier tokens' views.
+        if (unescaped_.capacity() < input.size()) unescaped_.reserve(input.size());
+        const size_t from = unescaped_.size();
+        unescaped_.append(input.substr(start, i - start));
+        while (i < input.size() && input[i] != '"') {
+          if (input[i] == '\\' && i + 1 < input.size()) ++i;
+          unescaped_.push_back(input[i]);
+          ++i;
+        }
+        token.text = std::string_view(unescaped_).substr(from);
       }
       if (i >= input.size()) {
+        tokens_.clear();
         return Status::ParseError("unterminated string literal at offset " +
                                   std::to_string(token.offset));
       }
       ++i;  // closing quote
       token.kind = TokenKind::kString;
-      token.text = std::move(literal);
-      out.push_back(std::move(token));
+      tokens_.push_back(token);
       continue;
     }
     // Punctuation; check two-character puncts first.
     static constexpr std::string_view kTwoCharPuncts[] = {"<=", ">=", "=>",
                                                           "!=", "::"};
     std::string_view rest = input.substr(i);
-    bool matched = false;
+    token.kind = TokenKind::kPunct;
     for (std::string_view p : kTwoCharPuncts) {
       if (rest.substr(0, p.size()) == p) {
-        token.kind = TokenKind::kPunct;
-        token.text = std::string(p);
-        i += p.size();
-        matched = true;
+        token.text = rest.substr(0, p.size());
         break;
       }
     }
-    if (!matched) {
+    if (token.text.empty()) {
       static constexpr std::string_view kOneCharPuncts = "[](){}.,;:=<>|&@*";
       if (kOneCharPuncts.find(c) == std::string_view::npos) {
+        tokens_.clear();
         return Status::ParseError(std::string("unexpected character '") + c +
                                   "' at offset " + std::to_string(i));
       }
-      token.kind = TokenKind::kPunct;
-      token.text = std::string(1, c);
-      ++i;
+      token.text = rest.substr(0, 1);
     }
-    out.push_back(std::move(token));
+    i += token.text.size();
+    tokens_.push_back(token);
   }
   Token end;
   end.kind = TokenKind::kEnd;
   end.offset = input.size();
-  out.push_back(std::move(end));
-  return out;
+  tokens_.push_back(end);
+  return Status::Ok();
+}
+
+void TokenCursor::Release(size_t keep_bytes) {
+  tokens_.clear();
+  unescaped_.clear();
+  pos_ = 0;
+  if (tokens_.capacity() * sizeof(Token) + unescaped_.capacity() > keep_bytes) {
+    std::vector<Token>().swap(tokens_);
+    std::string().swap(unescaped_);
+  }
 }
 
 const Token& TokenCursor::Peek(int lookahead) const {
@@ -122,8 +153,8 @@ const Token& TokenCursor::Peek(int lookahead) const {
   return tokens_[idx];
 }
 
-Token TokenCursor::Next() {
-  Token t = Peek();
+const Token& TokenCursor::Next() {
+  const Token& t = Peek();
   if (pos_ < tokens_.size()) ++pos_;
   return t;
 }
@@ -146,17 +177,20 @@ bool TokenCursor::TryConsumeIdent(std::string_view name) {
 
 Status TokenCursor::ExpectPunct(std::string_view text) {
   if (!TryConsumePunct(text)) {
-    return Status::ParseError("expected '" + std::string(text) + "' but found '" +
-                              Peek().text + "' at offset " +
+    std::string message = "expected '";
+    message.append(text).append("' but found '").append(Peek().text);
+    return Status::ParseError(message + "' at offset " +
                               std::to_string(Peek().offset));
   }
   return Status::Ok();
 }
 
-Result<std::string> TokenCursor::ExpectIdent() {
+Result<std::string_view> TokenCursor::ExpectIdent() {
   if (Peek().kind != TokenKind::kIdent) {
-    return Status::ParseError("expected identifier but found '" + Peek().text +
-                              "' at offset " + std::to_string(Peek().offset));
+    std::string message = "expected identifier but found '";
+    message.append(Peek().text);
+    return Status::ParseError(message + "' at offset " +
+                              std::to_string(Peek().offset));
   }
   return Next().text;
 }

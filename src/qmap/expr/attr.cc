@@ -1,6 +1,5 @@
 #include "qmap/expr/attr.h"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "qmap/common/fnv.h"
@@ -67,11 +66,7 @@ uint64_t Attr::CanonicalHash() const {
   Fnv64 h;
   if (!view.empty()) {
     h.Add(view);
-    if (instance != 0) {
-      char buf[16];
-      int n = std::snprintf(buf, sizeof(buf), "[%d]", instance);
-      h.Add(std::string_view(buf, static_cast<size_t>(n)));
-    }
+    if (instance != 0) h.AddByte('[').AddDecimal(instance).AddByte(']');
     h.AddByte('.');
   }
   return h.Add(name).value();

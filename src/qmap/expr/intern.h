@@ -16,6 +16,14 @@ class MetricsRegistry;
 /// precomputed 64-bit fingerprint. Entries are verified exactly on
 /// fingerprint-bucket hits, so interning itself is collision-proof.
 ///
+/// The constructors probe before they build: Leaf fingerprints its
+/// constraint and looks for a leaf that prints the same, And/Or normalize
+/// over borrowed child handles and look for a node with those children,
+/// each under its shard's shared lock. A probe that finds its node
+/// allocates nothing. Only a miss builds the node (and, for a leaf, interns
+/// its constraint), outside any lock, then takes the shard's lock
+/// exclusively, probes again and inserts.
+///
 /// The tables hold each entry only while something outside them references
 /// it. They are sharded by fingerprint, and every insert also sweeps a few
 /// buckets of its shard, freeing the entries nothing else references any
@@ -28,6 +36,8 @@ class MetricsRegistry;
 /// The toggle is not thread-safe against concurrent query construction.
 
 /// Statistics of the process-wide intern tables.
+/// A leaf found by the node-table probe counts a constraint hit as well as
+/// a query hit, so the constraint counters cover every leaf construction.
 struct InternStats {
   uint64_t query_hits = 0;        // constructions resolved to an existing node
   uint64_t query_misses = 0;      // constructions that inserted a new node

@@ -1,64 +1,109 @@
 #include "qmap/expr/parser.h"
 
-#include <cmath>
+#include <iterator>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace qmap {
 namespace {
 
-Result<Query> ParseOr(TokenCursor& cursor);
+// What a thread keeps between parses; a larger input frees its buffers on
+// the way out.
+constexpr size_t kKeepTokenBytes = size_t{16} << 10;
+constexpr size_t kKeepOperands = 256;
 
-Result<Query> ParsePrimary(TokenCursor& cursor) {
-  if (cursor.TryConsumePunct("(")) {
-    Result<Query> inner = ParseOr(cursor);
-    if (!inner.ok()) return inner.status();
-    Status s = cursor.ExpectPunct(")");
-    if (!s.ok()) return s;
-    return inner;
-  }
-  if (cursor.TryConsumeIdent("true")) return Query::True();
-  if (cursor.Peek().kind == TokenKind::kPunct && cursor.Peek().text == "[") {
-    Result<Constraint> c = ParseConstraintAt(cursor);
-    if (!c.ok()) return c.status();
-    return Query::Leaf(*std::move(c));
-  }
-  return Status::ParseError("expected '(', '[' or 'true' but found '" +
-                            cursor.Peek().text + "' at offset " +
-                            std::to_string(cursor.Peek().offset));
-}
+// Recursive descent over one cursor. And/Or collect their operands on
+// `operands`, a stack shared by the nested calls: each call pushes above
+// its caller's operands and pops back before it returns, so its own
+// operands are contiguous when it hands them to Query::And/Or as a span.
+class QueryParser {
+ public:
+  QueryParser(TokenCursor& cursor, std::vector<Query>& operands)
+      : cursor_(cursor), operands_(operands) {}
 
-Result<Query> ParseAnd(TokenCursor& cursor) {
-  Result<Query> first = ParsePrimary(cursor);
-  if (!first.ok()) return first;
-  std::vector<Query> parts = {*std::move(first)};
-  while (cursor.TryConsumeIdent("and") || cursor.TryConsumePunct("&")) {
-    Result<Query> next = ParsePrimary(cursor);
-    if (!next.ok()) return next;
-    parts.push_back(*std::move(next));
+  // The whole input as one query.
+  Result<Query> Whole() {
+    Result<Query> q = Or();
+    if (q.ok() && !cursor_.AtEnd()) {
+      std::string message = "trailing input after query: '";
+      message.append(cursor_.Peek().text);
+      return Status::ParseError(message + "'");
+    }
+    return q;
   }
-  if (parts.size() == 1) return parts[0];
-  return Query::And(std::move(parts));
-}
 
-Result<Query> ParseOr(TokenCursor& cursor) {
-  Result<Query> first = ParseAnd(cursor);
-  if (!first.ok()) return first;
-  std::vector<Query> parts = {*std::move(first)};
-  while (cursor.TryConsumeIdent("or") || cursor.TryConsumePunct("|")) {
-    Result<Query> next = ParseAnd(cursor);
-    if (!next.ok()) return next;
-    parts.push_back(*std::move(next));
+ private:
+  Result<Query> Or() { return Connected(NodeKind::kOr); }
+
+  Result<Query> Primary() {
+    if (cursor_.TryConsumePunct("(")) {
+      Result<Query> inner = Or();
+      if (!inner.ok()) return inner.status();
+      Status s = cursor_.ExpectPunct(")");
+      if (!s.ok()) return s;
+      return inner;
+    }
+    if (cursor_.TryConsumeIdent("true")) return Query::True();
+    const Token& t = cursor_.Peek();
+    if (t.kind == TokenKind::kPunct && t.text == "[") {
+      Result<Constraint> c = ParseConstraintAt(cursor_);
+      if (!c.ok()) return c.status();
+      return Query::Leaf(*std::move(c));
+    }
+    std::string message = "expected '(', '[' or 'true' but found '";
+    message.append(t.text);
+    return Status::ParseError(message + "' at offset " +
+                              std::to_string(t.offset));
   }
-  if (parts.size() == 1) return parts[0];
-  return Query::Or(std::move(parts));
-}
+
+  // An `or` chain of `and` chains, or an `and` chain of primaries.
+  Result<Query> Connected(NodeKind kind) {
+    Result<Query> first = Operand(kind);
+    if (!first.ok() || !TryConsumeConnective(kind)) return first;
+    const size_t base = operands_.size();
+    struct PopOnReturn {
+      std::vector<Query>& stack;
+      size_t base;
+      ~PopOnReturn() { stack.erase(stack.begin() + base, stack.end()); }
+    } pop{operands_, base};
+    operands_.push_back(*std::move(first));
+    do {
+      Result<Query> next = Operand(kind);
+      if (!next.ok()) return next;
+      operands_.push_back(*std::move(next));
+    } while (TryConsumeConnective(kind));
+    const std::span<const Query> parts(operands_.data() + base,
+                                       operands_.size() - base);
+    return kind == NodeKind::kAnd ? Query::And(parts) : Query::Or(parts);
+  }
+
+  Result<Query> Operand(NodeKind kind) {
+    return kind == NodeKind::kOr ? Connected(NodeKind::kAnd) : Primary();
+  }
+
+  bool TryConsumeConnective(NodeKind kind) {
+    return kind == NodeKind::kAnd
+               ? cursor_.TryConsumeIdent("and") || cursor_.TryConsumePunct("&")
+               : cursor_.TryConsumeIdent("or") || cursor_.TryConsumePunct("|");
+  }
+
+  TokenCursor& cursor_;
+  std::vector<Query>& operands_;
+};
 
 }  // namespace
 
+bool NextIsLiteralCall(const TokenCursor& cursor) {
+  const Token& t = cursor.Peek();
+  return t.kind == TokenKind::kIdent &&
+         (t.text == "date" || t.text == "range" || t.text == "point") &&
+         cursor.Peek(1).kind == TokenKind::kPunct && cursor.Peek(1).text == "(";
+}
+
 Result<Attr> ParseAttrAt(TokenCursor& cursor) {
-  Result<std::string> head = cursor.ExpectIdent();
+  Result<std::string_view> head = cursor.ExpectIdent();
   if (!head.ok()) return head.status();
-  Attr attr;
-  std::vector<std::string> parts = {*head};
   int instance = 0;
   if (cursor.TryConsumePunct("[")) {
     const Token& t = cursor.Peek();
@@ -70,23 +115,23 @@ Result<Attr> ParseAttrAt(TokenCursor& cursor) {
     Status s = cursor.ExpectPunct("]");
     if (!s.ok()) return s;
   }
-  while (cursor.TryConsumePunct(".")) {
-    Result<std::string> part = cursor.ExpectIdent();
-    if (!part.ok()) return part.status();
-    parts.push_back(*part);
-  }
-  if (parts.size() == 1) {
+  Attr attr;
+  if (!cursor.TryConsumePunct(".")) {
     if (instance != 0) {
       return Status::ParseError("view index requires a qualified attribute");
     }
-    attr.name = parts[0];
+    attr.name = *head;
     return attr;
   }
-  attr.view = parts[0];
+  attr.view = *head;
   attr.instance = instance;
-  std::string name = parts[1];
-  for (size_t i = 2; i < parts.size(); ++i) name += "." + parts[i];
-  attr.name = std::move(name);
+  // The components after the view join into the name: `aubib.bib`.
+  do {
+    Result<std::string_view> part = cursor.ExpectIdent();
+    if (!part.ok()) return part.status();
+    if (!attr.name.empty()) attr.name += '.';
+    attr.name += *part;
+  } while (cursor.TryConsumePunct("."));
   return attr;
 }
 
@@ -99,54 +144,59 @@ Result<Op> ParseOpAt(TokenCursor& cursor) {
       return op;
     }
   }
-  return Status::ParseError("expected operator but found '" + t.text +
-                            "' at offset " + std::to_string(t.offset));
+  std::string message = "expected operator but found '";
+  message.append(t.text);
+  return Status::ParseError(message + "' at offset " + std::to_string(t.offset));
 }
 
 Result<Value> ParseValueAt(TokenCursor& cursor) {
   const Token& t = cursor.Peek();
   if (t.kind == TokenKind::kString) {
-    return Value::Str(cursor.Next().text);
+    return Value::Str(std::string(cursor.Next().text));
   }
   if (t.kind == TokenKind::kNumber) {
-    Token num = cursor.Next();
+    const Token& num = cursor.Next();
     if (num.is_integer) return Value::Int(static_cast<int64_t>(num.number));
     return Value::Real(num.number);
   }
-  if (t.kind == TokenKind::kIdent &&
-      (t.text == "date" || t.text == "range" || t.text == "point") &&
-      cursor.Peek(1).kind == TokenKind::kPunct && cursor.Peek(1).text == "(") {
-    std::string fn = cursor.Next().text;
+  if (NextIsLiteralCall(cursor)) {
+    const std::string fn(cursor.Next().text);
     cursor.Next();  // '('
-    std::vector<double> args;
+    // No literal takes more than three arguments; a longer list is still
+    // counted, for its arity error.
+    double args[3] = {};
+    size_t num_args = 0;
     while (true) {
       const Token& arg = cursor.Peek();
       if (arg.kind != TokenKind::kNumber) {
         return Status::ParseError("expected number in " + fn + "() literal");
       }
-      args.push_back(cursor.Next().number);
+      if (num_args < std::size(args)) args[num_args] = arg.number;
+      ++num_args;
+      cursor.Next();
       if (!cursor.TryConsumePunct(",")) break;
     }
     Status s = cursor.ExpectPunct(")");
     if (!s.ok()) return s;
     if (fn == "date") {
-      if (args.empty() || args.size() > 3) {
+      if (num_args > 3) {
         return Status::ParseError("date() takes 1-3 integer arguments");
       }
       Date d;
       d.year = static_cast<int>(args[0]);
-      if (args.size() > 1) d.month = static_cast<int>(args[1]);
-      if (args.size() > 2) d.day = static_cast<int>(args[2]);
+      if (num_args > 1) d.month = static_cast<int>(args[1]);
+      if (num_args > 2) d.day = static_cast<int>(args[2]);
       return Value::OfDate(d);
     }
-    if (args.size() != 2) {
+    if (num_args != 2) {
       return Status::ParseError(fn + "() takes exactly 2 arguments");
     }
     if (fn == "range") return Value::OfRange(Range{args[0], args[1]});
     return Value::OfPoint(Point{args[0], args[1]});
   }
-  return Status::ParseError("expected value literal but found '" + t.text +
-                            "' at offset " + std::to_string(t.offset));
+  std::string message = "expected value literal but found '";
+  message.append(t.text);
+  return Status::ParseError(message + "' at offset " + std::to_string(t.offset));
 }
 
 Result<Constraint> ParseConstraintAt(TokenCursor& cursor) {
@@ -159,12 +209,7 @@ Result<Constraint> ParseConstraintAt(TokenCursor& cursor) {
   Constraint c;
   c.lhs = *std::move(lhs);
   c.op = *op;
-  const Token& t = cursor.Peek();
-  bool rhs_is_attr =
-      t.kind == TokenKind::kIdent &&
-      !((t.text == "date" || t.text == "range" || t.text == "point") &&
-        cursor.Peek(1).kind == TokenKind::kPunct && cursor.Peek(1).text == "(");
-  if (rhs_is_attr) {
+  if (cursor.Peek().kind == TokenKind::kIdent && !NextIsLiteralCall(cursor)) {
     Result<Attr> rhs = ParseAttrAt(cursor);
     if (!rhs.ok()) return rhs.status();
     c.rhs = *std::move(rhs);
@@ -179,22 +224,20 @@ Result<Constraint> ParseConstraintAt(TokenCursor& cursor) {
 }
 
 Result<Query> ParseQuery(std::string_view text) {
-  Result<std::vector<Token>> tokens = Lexer::Tokenize(text);
-  if (!tokens.ok()) return tokens.status();
-  TokenCursor cursor(*std::move(tokens));
-  Result<Query> q = ParseOr(cursor);
-  if (!q.ok()) return q;
-  if (!cursor.AtEnd()) {
-    return Status::ParseError("trailing input after query: '" +
-                              cursor.Peek().text + "'");
-  }
+  // Nothing a parse calls parses again, so one scratch per thread suffices.
+  thread_local TokenCursor cursor;
+  thread_local std::vector<Query> operands;
+  Status s = cursor.Reset(text);
+  Result<Query> q = s.ok() ? QueryParser(cursor, operands).Whole() : s;
+  cursor.Release(kKeepTokenBytes);
+  if (operands.capacity() > kKeepOperands) std::vector<Query>().swap(operands);
   return q;
 }
 
 Result<Constraint> ParseConstraint(std::string_view text) {
-  Result<std::vector<Token>> tokens = Lexer::Tokenize(text);
-  if (!tokens.ok()) return tokens.status();
-  TokenCursor cursor(*std::move(tokens));
+  TokenCursor cursor;
+  Status s = cursor.Reset(text);
+  if (!s.ok()) return s;
   Result<Constraint> c = ParseConstraintAt(cursor);
   if (!c.ok()) return c;
   if (!cursor.AtEnd()) {

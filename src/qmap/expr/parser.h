@@ -28,6 +28,12 @@ namespace qmap {
 ///   ([ln = "Clancy"] or [ln = "Klancy"]) and [fn = "Tom"]
 ///   [fac.bib contains "data(near)mining"] and [fac.dept = "cs"]
 ///   [fac[1].ln = fac[2].ln]
+///
+/// Parsing allocates nothing for structure the intern tables already hold
+/// (DESIGN.md §9): each thread reuses one token cursor, whose tokens view
+/// `text`, and one operand stack, and the Query constructors build a node
+/// only when their probe misses. Names and literals of up to 15 bytes fit
+/// in the strings of the probe's stack-built Constraint.
 Result<Query> ParseQuery(std::string_view text);
 
 /// Parses a single bracketed constraint, e.g. `[pyear = 1997]`.
@@ -37,11 +43,16 @@ Result<Constraint> ParseConstraint(std::string_view text);
 /// Shared with the rule-DSL parser.
 Result<Constraint> ParseConstraintAt(TokenCursor& cursor);
 
-/// Internal: parses an attribute reference starting at an IDENT token.
+/// Internal: parses an attribute reference starting at an IDENT token,
+/// building the dotted name in place.
 Result<Attr> ParseAttrAt(TokenCursor& cursor);
 
 /// Internal: parses an operator token sequence (puncts or ident keywords).
 Result<Op> ParseOpAt(TokenCursor& cursor);
+
+/// Internal: true when the next tokens open a `date(`, `range(` or
+/// `point(` literal.
+bool NextIsLiteralCall(const TokenCursor& cursor);
 
 /// Internal: parses a value literal (STRING/NUMBER/date/range/point).
 /// Fails if the next token is not a value literal.

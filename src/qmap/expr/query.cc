@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -33,11 +34,23 @@ uint64_t LeafFingerprint(uint64_t constraint_fp) {
   return Fnv64().AddByte(kTagLeaf).AddU64(constraint_fp).value();
 }
 
-uint64_t BranchFingerprint(NodeKind kind, const std::vector<Query>& children) {
+uint64_t BranchFingerprint(NodeKind kind,
+                           std::span<const Query* const> children) {
   Fnv64 h;
   h.AddByte(kind == NodeKind::kAnd ? kTagAnd : kTagOr);
-  for (const Query& child : children) h.AddU64(child.fingerprint());
+  for (const Query* child : children) h.AddU64(child->fingerprint());
   return h.value();
+}
+
+// A new ∧/∨ node over copies of `children`.
+std::shared_ptr<Query::Node> NewBranchNode(
+    NodeKind kind, uint64_t fp, std::span<const Query* const> children) {
+  auto node = std::make_shared<Query::Node>();
+  node->kind = kind;
+  node->fingerprint = fp;
+  node->children.reserve(children.size());
+  for (const Query* child : children) node->children.push_back(*child);
+  return node;
 }
 
 bool& InternFlag() {
@@ -63,25 +76,33 @@ class InternTable {
  public:
   using Entry = std::shared_ptr<const T>;
 
-  // Returns the entry in `fp`'s bucket for which `same(entry)` holds, or
-  // inserts `make()`. `*inserted` reports which happened.
-  template <typename Same, typename Make>
-  Entry Intern(uint64_t fp, const Same& same, const Make& make,
+  // The entry in `fp`'s bucket for which `same(entry)` holds, or null. Takes
+  // the shard's lock shared, and the returned reference under it.
+  template <typename Same>
+  Entry Find(uint64_t fp, const Same& same) {
+    Shard& shard = ShardOf(fp);
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    const Entry* found = FindIn(shard, fp, same);
+    return found != nullptr ? *found : nullptr;
+  }
+
+  // Inserts `candidate`, built after a Find missed, unless an entry for which
+  // `same` holds arrived meanwhile; returns whichever entry the table keeps
+  // and reports in `*inserted` which happened.
+  template <typename Same>
+  Entry Insert(uint64_t fp, Entry candidate, const Same& same,
                bool* inserted) {
-    Shard& shard = shards_[fp >> (64 - kShardBits)];
-    *inserted = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(shard.mu);
-      if (const Entry* found = Find(shard, fp, same)) return *found;
-    }
+    Shard& shard = ShardOf(fp);
     std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (const Entry* found = Find(shard, fp, same)) return *found;
+    if (const Entry* found = FindIn(shard, fp, same)) {
+      *inserted = false;
+      return *found;
+    }
     Sweep(shard);
-    Entry owned = make();
-    shard.entries[fp].push_back(owned);
+    shard.entries[fp].push_back(candidate);
     live_.fetch_add(1, std::memory_order_relaxed);
     *inserted = true;
-    return owned;
+    return candidate;
   }
 
   // Entries currently resident, across all shards.
@@ -97,8 +118,11 @@ class InternTable {
     size_t hand = 0;  // next bucket to sweep
   };
 
+  Shard& ShardOf(uint64_t fp) { return shards_[fp >> (64 - kShardBits)]; }
+
   template <typename Same>
-  static const Entry* Find(const Shard& shard, uint64_t fp, const Same& same) {
+  static const Entry* FindIn(const Shard& shard, uint64_t fp,
+                             const Same& same) {
     auto it = shard.entries.find(fp);
     if (it == shard.entries.end()) return nullptr;
     for (const Entry& candidate : it->second) {
@@ -141,41 +165,49 @@ class InternTables {
     return *tables;
   }
 
-  std::shared_ptr<const Constraint> InternConstraint(Constraint c,
-                                                     uint64_t fp) {
-    bool inserted = false;
-    auto interned = constraints_.Intern(
-        fp, [&](const Constraint& entry) { return SamePrintedForm(entry, c); },
-        [&] { return std::make_shared<const Constraint>(std::move(c)); },
-        &inserted);
-    if (inserted) {
-      Bump(constraint_misses_, constraint_nodes_counter_);
-    } else {
+  // The leaf over `c`. A probe of the node table finds an existing leaf
+  // whose constraint prints the same, and counts a constraint hit as well
+  // as a node hit; only a miss interns the constraint and builds the node.
+  std::shared_ptr<const Query::Node> InternLeaf(Constraint c,
+                                                uint64_t constraint_fp,
+                                                uint64_t fp) {
+    auto found = nodes_.Find(fp, [&](const Query::Node& entry) {
+      return entry.kind == NodeKind::kLeaf &&
+             SamePrintedForm(*entry.constraint, c);
+    });
+    if (found != nullptr) {
       Bump(constraint_hits_, constraint_hits_counter_);
+      Bump(query_hits_, query_hits_counter_);
+      return found;
     }
-    return interned;
+    auto node = std::make_shared<Query::Node>();
+    node->kind = NodeKind::kLeaf;
+    node->fingerprint = fp;
+    node->constraint = InternConstraint(std::move(c), constraint_fp);
+    return InsertNode(std::move(node));
   }
 
-  // `candidate` must already have canonical (interned) children and, for
-  // leaves, an interned constraint pointer, so verification is pure pointer
-  // comparison.
-  std::shared_ptr<const Query::Node> InternNode(
-      std::shared_ptr<Query::Node> candidate) {
-    bool inserted = false;
-    auto interned = nodes_.Intern(
-        candidate->fingerprint,
-        [&](const Query::Node& entry) { return SameNode(entry, *candidate); },
-        [&] {
-          candidate->interned = true;
-          return std::shared_ptr<const Query::Node>(std::move(candidate));
-        },
-        &inserted);
-    if (inserted) {
-      Bump(query_misses_, query_nodes_counter_);
-    } else {
+  // The ∧/∨ node over `children`, which must be canonical (interned) handles
+  // so the probe compares their addresses. Only a miss copies them into a
+  // new node.
+  std::shared_ptr<const Query::Node> InternBranch(
+      NodeKind kind, uint64_t fp, std::span<const Query* const> children) {
+    auto found = nodes_.Find(fp, [&](const Query::Node& entry) {
+      if (entry.kind != kind || entry.children.size() != children.size()) {
+        return false;
+      }
+      for (size_t i = 0; i < children.size(); ++i) {
+        if (entry.children[i].identity() != children[i]->identity()) {
+          return false;
+        }
+      }
+      return true;
+    });
+    if (found != nullptr) {
       Bump(query_hits_, query_hits_counter_);
+      return found;
     }
-    return interned;
+    return InsertNode(NewBranchNode(kind, fp, children));
   }
 
   InternStats Stats() const {
@@ -232,6 +264,48 @@ class InternTables {
   }
 
  private:
+  std::shared_ptr<const Constraint> InternConstraint(Constraint c,
+                                                     uint64_t fp) {
+    auto found = constraints_.Find(
+        fp, [&](const Constraint& entry) { return SamePrintedForm(entry, c); });
+    if (found != nullptr) {
+      Bump(constraint_hits_, constraint_hits_counter_);
+      return found;
+    }
+    auto owned = std::make_shared<const Constraint>(std::move(c));
+    bool inserted = false;
+    auto interned = constraints_.Insert(
+        fp, owned,
+        [&](const Constraint& entry) { return SamePrintedForm(entry, *owned); },
+        &inserted);
+    if (inserted) {
+      Bump(constraint_misses_, constraint_nodes_counter_);
+    } else {
+      Bump(constraint_hits_, constraint_hits_counter_);
+    }
+    return interned;
+  }
+
+  // Inserts `node`, built after a probe missed, unless an equal node arrived
+  // in the meantime. Its children (or constraint) are canonical, so the
+  // re-probe compares addresses.
+  std::shared_ptr<const Query::Node> InsertNode(
+      std::shared_ptr<Query::Node> node) {
+    node->interned = true;
+    const Query::Node& built = *node;
+    bool inserted = false;
+    auto interned = nodes_.Insert(
+        built.fingerprint, std::move(node),
+        [&](const Query::Node& entry) { return SameNode(entry, built); },
+        &inserted);
+    if (inserted) {
+      Bump(query_misses_, query_nodes_counter_);
+    } else {
+      Bump(query_hits_, query_hits_counter_);
+    }
+    return interned;
+  }
+
   // Both nodes' children (and leaf constraints) are live canonical handles,
   // so comparing their addresses is exact.
   static bool SameNode(const Query::Node& a, const Query::Node& b) {
@@ -270,32 +344,48 @@ class InternTables {
   std::atomic<Counter*> constraint_nodes_counter_{nullptr};
 };
 
-// Appends `child` to `out`, flattening nested nodes of the same kind.
-void Flatten(NodeKind kind, const Query& child, std::vector<Query>* out) {
-  if (child.kind() == kind) {
-    for (const Query& grandchild : child.children()) Flatten(kind, grandchild, out);
-  } else {
-    out->push_back(child);
-  }
-}
-
-// Removes structural duplicates, preserving first occurrences (idempotency:
-// x ∧ x = x, x ∨ x = x). Fingerprints prune; StructurallyEquals confirms.
-void DedupChildren(std::vector<Query>* children) {
-  std::vector<Query> unique;
-  unique.reserve(children->size());
-  for (const Query& child : *children) {
-    bool seen = false;
-    for (const Query& kept : unique) {
-      if (kept.fingerprint() == child.fingerprint() &&
-          kept.StructurallyEquals(child)) {
-        seen = true;
-        break;
-      }
+// Borrowed child handles, inline up to kInline and on the heap beyond.
+class ChildList {
+ public:
+  void push_back(const Query* child) {
+    if (heap_.empty() && size_ < kInline) {
+      inline_[size_++] = child;
+      return;
     }
-    if (!seen) unique.push_back(child);
+    if (heap_.empty()) heap_.assign(inline_.begin(), inline_.end());
+    heap_.push_back(child);
+    ++size_;
   }
-  *children = std::move(unique);
+  std::span<const Query* const> span() const {
+    return {heap_.empty() ? inline_.data() : heap_.data(), size_};
+  }
+  size_t size() const { return size_; }
+
+ private:
+  static constexpr size_t kInline = 16;
+  std::array<const Query*, kInline> inline_{};
+  std::vector<const Query*> heap_;
+  size_t size_ = 0;
+};
+
+// Appends `child` to `out`, flattening nested nodes of the same kind and
+// skipping structural duplicates of children already listed (idempotency:
+// x ∧ x = x, x ∨ x = x; first occurrences keep their place). Fingerprints
+// prune; StructurallyEquals confirms.
+void AppendFlat(NodeKind kind, const Query& child, ChildList* out) {
+  if (child.kind() == kind) {
+    for (const Query& grandchild : child.children()) {
+      AppendFlat(kind, grandchild, out);
+    }
+    return;
+  }
+  for (const Query* kept : out->span()) {
+    if (kept->fingerprint() == child.fingerprint() &&
+        kept->StructurallyEquals(child)) {
+      return;
+    }
+  }
+  out->push_back(&child);
 }
 
 }  // namespace
@@ -328,25 +418,50 @@ Query Query::True() {
 
 Query Query::Leaf(Constraint constraint) {
   const uint64_t constraint_fp = constraint.Fingerprint();
+  const uint64_t fp = LeafFingerprint(constraint_fp);
+  if (InternFlag()) {
+    return Query(InternTables::Global().InternLeaf(std::move(constraint),
+                                                   constraint_fp, fp));
+  }
   auto node = std::make_shared<Node>();
   node->kind = NodeKind::kLeaf;
-  node->fingerprint = LeafFingerprint(constraint_fp);
-  if (!InternFlag()) {
-    node->constraint = std::make_shared<const Constraint>(std::move(constraint));
-    return Query(std::move(node));
-  }
-  node->constraint = InternTables::Global().InternConstraint(
-      std::move(constraint), constraint_fp);
-  return Query(InternTables::Global().InternNode(std::move(node)));
+  node->fingerprint = fp;
+  node->constraint = std::make_shared<const Constraint>(std::move(constraint));
+  return Query(std::move(node));
 }
 
-Query Query::InternBranch(NodeKind kind, std::vector<Query> children) {
-  for (Query& child : children) child = Canonical(child);
-  auto node = std::make_shared<Node>();
-  node->kind = kind;
-  node->fingerprint = BranchFingerprint(kind, children);
-  node->children = std::move(children);
-  return Query(InternTables::Global().InternNode(std::move(node)));
+Query Query::Branch(NodeKind kind, std::span<const Query> children) {
+  ChildList flat;
+  for (const Query& child : children) {
+    if (child.is_true()) {
+      if (kind == NodeKind::kOr) return True();  // True disjunct absorbs the ∨
+      continue;  // True conjunct is the ∧ identity
+    }
+    AppendFlat(kind, child, &flat);
+  }
+  if (flat.size() == 0) return True();  // ∨ of nothing: see header contract
+  if (flat.size() == 1) return *flat.span()[0];
+  return MakeBranch(kind, flat.span());
+}
+
+Query Query::MakeBranch(NodeKind kind,
+                        std::span<const Query* const> children) {
+  const uint64_t fp = BranchFingerprint(kind, children);
+  if (!InternFlag()) return Query(NewBranchNode(kind, fp, children));
+  const bool all_canonical =
+      std::all_of(children.begin(), children.end(),
+                  [](const Query* child) { return child->node_->interned; });
+  if (all_canonical) {
+    return Query(InternTables::Global().InternBranch(kind, fp, children));
+  }
+  // Some child was built while interning was off: canonicalize every child
+  // first, so the table only ever holds canonical children.
+  std::vector<Query> canonical;
+  canonical.reserve(children.size());
+  for (const Query* child : children) canonical.push_back(Canonical(*child));
+  std::vector<const Query*> borrowed;
+  for (const Query& child : canonical) borrowed.push_back(&child);
+  return Query(InternTables::Global().InternBranch(kind, fp, borrowed));
 }
 
 // Canonicalizes a query built while interning was off (or before a toggle
@@ -355,41 +470,9 @@ Query Query::InternBranch(NodeKind kind, std::vector<Query> children) {
 Query Query::Canonical(const Query& q) {
   if (q.node_->interned) return q;
   if (q.is_leaf()) return Leaf(q.constraint());
-  return InternBranch(q.kind(), q.children());
-}
-
-Query Query::And(std::vector<Query> children) {
-  std::vector<Query> flat;
-  for (const Query& child : children) {
-    if (child.is_true()) continue;  // True conjunct is the ∧ identity
-    Flatten(NodeKind::kAnd, child, &flat);
-  }
-  DedupChildren(&flat);
-  if (flat.empty()) return True();
-  if (flat.size() == 1) return flat[0];
-  if (InternFlag()) return InternBranch(NodeKind::kAnd, std::move(flat));
-  auto node = std::make_shared<Node>();
-  node->kind = NodeKind::kAnd;
-  node->fingerprint = BranchFingerprint(NodeKind::kAnd, flat);
-  node->children = std::move(flat);
-  return Query(std::move(node));
-}
-
-Query Query::Or(std::vector<Query> children) {
-  std::vector<Query> flat;
-  for (const Query& child : children) {
-    if (child.is_true()) return True();  // True disjunct absorbs the ∨
-    Flatten(NodeKind::kOr, child, &flat);
-  }
-  DedupChildren(&flat);
-  if (flat.empty()) return True();  // disallowed input; see header contract
-  if (flat.size() == 1) return flat[0];
-  if (InternFlag()) return InternBranch(NodeKind::kOr, std::move(flat));
-  auto node = std::make_shared<Node>();
-  node->kind = NodeKind::kOr;
-  node->fingerprint = BranchFingerprint(NodeKind::kOr, flat);
-  node->children = std::move(flat);
-  return Query(std::move(node));
+  std::vector<const Query*> children;
+  for (const Query& child : q.children()) children.push_back(&child);
+  return MakeBranch(q.kind(), children);
 }
 
 bool Query::IsSimpleConjunction() const {

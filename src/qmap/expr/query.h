@@ -2,7 +2,9 @@
 #define QMAP_EXPR_QUERY_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,17 +33,33 @@ enum class NodeKind { kTrue, kLeaf, kAnd, kOr };
 /// precomputed 64-bit fingerprint() of its structure. Identity-keyed layers
 /// (MatchMemo, the EDNF constraint table, residue-filter dedup, the
 /// translation cache) key on fingerprints instead of printed strings.
+///
+/// The constructors probe the table before they build: they normalize over
+/// borrowed child handles, fingerprint the result and look it up, so a
+/// construction whose node already exists allocates nothing. Only a miss
+/// builds the node (and its child list), outside the table's lock.
 class Query {
  public:
   /// The trivial query (no constraint; selects everything).
   static Query True();
   /// A single-constraint query.
   static Query Leaf(Constraint constraint);
-  /// Normalized conjunction of `children` (empty conjunction is True).
-  static Query And(std::vector<Query> children);
+  /// Normalized conjunction of `children` (empty conjunction is True). A
+  /// std::vector<Query> converts to the span.
+  static Query And(std::span<const Query> children) {
+    return Branch(NodeKind::kAnd, children);
+  }
+  static Query And(std::initializer_list<Query> children) {
+    return Branch(NodeKind::kAnd, {children.begin(), children.size()});
+  }
   /// Normalized disjunction of `children`; `children` must be non-empty
   /// (the library has no False — see DESIGN.md §7, negation is out of scope).
-  static Query Or(std::vector<Query> children);
+  static Query Or(std::span<const Query> children) {
+    return Branch(NodeKind::kOr, children);
+  }
+  static Query Or(std::initializer_list<Query> children) {
+    return Branch(NodeKind::kOr, {children.begin(), children.size()});
+  }
 
   Query() : Query(True()) {}
 
@@ -117,9 +135,14 @@ class Query {
  private:
   explicit Query(std::shared_ptr<const Node> node) : node_(std::move(node)) {}
 
-  /// Interns an ∧/∨ node over already-normalized children (canonicalizing
-  /// each child first). Requires interning to be enabled.
-  static Query InternBranch(NodeKind kind, std::vector<Query> children);
+  /// The one ∧/∨ builder: flattens, drops or absorbs True and dedups
+  /// `children` into a borrowed list, then hands it to MakeBranch.
+  static Query Branch(NodeKind kind, std::span<const Query> children);
+
+  /// The ∧/∨ node over `children`, a list already flattened and deduplicated
+  /// with at least two entries: interned (canonicalizing any child built
+  /// while interning was off) or, with interning off, built plain.
+  static Query MakeBranch(NodeKind kind, std::span<const Query* const> children);
 
   /// Returns the canonical (interned) equivalent of `q`, re-interning
   /// subtrees built while interning was off; pointer-check fast path when

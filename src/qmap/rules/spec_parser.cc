@@ -8,7 +8,7 @@ namespace {
 
 // Parses an attribute expression: IDENT [ "[" (INT|IDENT) "]" ] ("." IDENT)*.
 Result<AttrExpr> ParseAttrExpr(TokenCursor& cursor) {
-  Result<std::string> head = cursor.ExpectIdent();
+  Result<std::string_view> head = cursor.ExpectIdent();
   if (!head.ok()) return head.status();
 
   AttrExpr expr;
@@ -31,9 +31,9 @@ Result<AttrExpr> ParseAttrExpr(TokenCursor& cursor) {
     has_index = true;
   }
 
-  std::vector<std::string> rest;
+  std::vector<std::string_view> rest;
   while (cursor.TryConsumePunct(".")) {
-    Result<std::string> part = cursor.ExpectIdent();
+    Result<std::string_view> part = cursor.ExpectIdent();
     if (!part.ok()) return part.status();
     rest.push_back(*part);
   }
@@ -41,7 +41,8 @@ Result<AttrExpr> ParseAttrExpr(TokenCursor& cursor) {
   if (rest.empty()) {
     if (has_index) {
       return Status::ParseError("view index requires a qualified attribute ('" +
-                                *head + "[..]' lacks an attribute name)");
+                                std::string(*head) +
+                                "[..]' lacks an attribute name)");
     }
     if (IsVariableName(*head)) {
       expr.whole_var = *head;
@@ -61,23 +62,23 @@ Result<AttrExpr> ParseAttrExpr(TokenCursor& cursor) {
 
   // The trailing component may be a variable; interior components must be
   // literals (expanded relation paths like `aubib.bib`).
-  std::string trailing = rest.back();
+  std::string_view trailing = rest.back();
   rest.pop_back();
-  for (const std::string& part : rest) {
+  for (std::string_view part : rest) {
     if (IsVariableName(part)) {
-      return Status::ParseError("variable '" + part +
+      return Status::ParseError("variable '" + std::string(part) +
                                 "' not allowed as an interior attribute component");
     }
   }
   if (IsVariableName(trailing) && rest.empty()) {
     expr.name_var = trailing;
   } else if (IsVariableName(trailing)) {
-    return Status::ParseError("variable '" + trailing +
+    return Status::ParseError("variable '" + std::string(trailing) +
                               "' not allowed after a multi-part path");
   } else {
     rest.push_back(trailing);
-    std::string name = rest[0];
-    for (size_t i = 1; i < rest.size(); ++i) name += "." + rest[i];
+    std::string name(rest[0]);
+    for (size_t i = 1; i < rest.size(); ++i) name.append(".").append(rest[i]);
     expr.name_literal = std::move(name);
   }
   return expr;
@@ -85,10 +86,8 @@ Result<AttrExpr> ParseAttrExpr(TokenCursor& cursor) {
 
 bool NextIsValueLiteral(const TokenCursor& cursor) {
   const Token& t = cursor.Peek();
-  if (t.kind == TokenKind::kString || t.kind == TokenKind::kNumber) return true;
-  return t.kind == TokenKind::kIdent &&
-         (t.text == "date" || t.text == "range" || t.text == "point") &&
-         cursor.Peek(1).kind == TokenKind::kPunct && cursor.Peek(1).text == "(";
+  return t.kind == TokenKind::kString || t.kind == TokenKind::kNumber ||
+         NextIsLiteralCall(cursor);
 }
 
 Result<OperandExpr> ParseOperandExpr(TokenCursor& cursor) {
@@ -152,7 +151,7 @@ Result<ArgExpr> ParseArgExpr(TokenCursor& cursor) {
 }
 
 Result<FunctionCall> ParseCall(TokenCursor& cursor) {
-  Result<std::string> name = cursor.ExpectIdent();
+  Result<std::string_view> name = cursor.ExpectIdent();
   if (!name.ok()) return name.status();
   FunctionCall call;
   call.function = *name;
@@ -223,7 +222,7 @@ Result<EmissionTemplate> ParseEmitOr(TokenCursor& cursor) {
 
 Result<Rule> ParseRule(TokenCursor& cursor) {
   Status s = Status::Ok();
-  Result<std::string> name = cursor.ExpectIdent();
+  Result<std::string_view> name = cursor.ExpectIdent();
   if (!name.ok()) return name.status();
   Rule rule;
   rule.name = *name;
@@ -252,7 +251,7 @@ Result<Rule> ParseRule(TokenCursor& cursor) {
 
   while (cursor.TryConsumeIdent("let")) {
     Assignment let;
-    Result<std::string> var = cursor.ExpectIdent();
+    Result<std::string_view> var = cursor.ExpectIdent();
     if (!var.ok()) return var.status();
     let.var = *var;
     s = cursor.ExpectPunct("=");
@@ -267,7 +266,7 @@ Result<Rule> ParseRule(TokenCursor& cursor) {
 
   if (!cursor.TryConsumeIdent("emit")) {
     return Status::ParseError("rule " + rule.name + ": expected 'emit' but found '" +
-                              cursor.Peek().text + "'");
+                              std::string(cursor.Peek().text) + "'");
   }
   if (cursor.TryConsumeIdent("true")) {
     rule.emission.kind = EmissionTemplate::Kind::kTrue;
@@ -286,14 +285,15 @@ Result<Rule> ParseRule(TokenCursor& cursor) {
 Result<MappingSpec> ParseMappingSpec(
     std::string_view text, std::string target_name,
     std::shared_ptr<const FunctionRegistry> registry) {
-  Result<std::vector<Token>> tokens = Lexer::Tokenize(text);
-  if (!tokens.ok()) return tokens.status();
-  TokenCursor cursor(*std::move(tokens));
+  TokenCursor cursor;
+  Status lexed = cursor.Reset(text);
+  if (!lexed.ok()) return lexed;
   MappingSpec spec(std::move(target_name), std::move(registry));
   while (!cursor.AtEnd()) {
     if (!cursor.TryConsumeIdent("rule")) {
-      return Status::ParseError("expected 'rule' but found '" + cursor.Peek().text +
-                                "' at offset " + std::to_string(cursor.Peek().offset));
+      return Status::ParseError("expected 'rule' but found '" +
+                                std::string(cursor.Peek().text) + "' at offset " +
+                                std::to_string(cursor.Peek().offset));
     }
     Result<Rule> rule = ParseRule(cursor);
     if (!rule.ok()) return rule.status();

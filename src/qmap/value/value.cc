@@ -104,21 +104,15 @@ uint64_t Value::CanonicalHash() const {
   switch (kind()) {
     case ValueKind::kNull:
       return h.Add("null").value();
-    case ValueKind::kInt: {
-      char buf[32];
-      int n = std::snprintf(buf, sizeof(buf), "%lld",
-                            static_cast<long long>(AsInt()));
-      return h.Add(std::string_view(buf, static_cast<size_t>(n))).value();
-    }
+    case ValueKind::kInt:
+      return h.AddDecimal(AsInt()).value();
     case ValueKind::kDouble: {
       double v = AsDouble();
-      char buf[64];
-      int n;
       if (v == std::floor(v) && std::abs(v) < 1e15) {
-        n = std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-      } else {
-        n = std::snprintf(buf, sizeof(buf), "%g", v);
+        return h.AddDecimal(static_cast<int64_t>(v)).value();
       }
+      char buf[64];
+      int n = std::snprintf(buf, sizeof(buf), "%g", v);
       return h.Add(std::string_view(buf, static_cast<size_t>(n))).value();
     }
     case ValueKind::kString:

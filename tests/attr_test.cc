@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
+#include "qmap/common/fnv.h"
+
 namespace qmap {
 namespace {
 
@@ -52,6 +56,17 @@ TEST(Attr, EqualityAndOrdering) {
   EXPECT_EQ(Attr::Of("fac", "ln"), Attr::Of("fac", "ln"));
   EXPECT_NE(Attr::Of("fac", "ln"), Attr::OfInstance("fac", 1, "ln"));
   EXPECT_LT(Attr::Of("fac", "fn"), Attr::Of("fac", "ln"));
+}
+
+// The instance's digits are part of the fingerprinted bytes.
+TEST(Attr, CanonicalHashIsFnvOfThePrintedForm) {
+  for (int instance : {0, 1, 9, 10, INT_MAX}) {
+    const Attr attr = Attr::OfInstance("fac", instance, "ln");
+    EXPECT_EQ(attr.CanonicalHash(), Fnv64Hash(attr.ToString())) << instance;
+  }
+  EXPECT_EQ(Attr::Simple("ti-word").CanonicalHash(), Fnv64Hash("ti-word"));
+  EXPECT_EQ(Attr::Of("fac", "aubib.bib").CanonicalHash(),
+            Fnv64Hash("fac.aubib.bib"));
 }
 
 }  // namespace

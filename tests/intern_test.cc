@@ -145,6 +145,47 @@ TEST(Intern, StatsMoveOnConstruction) {
   EXPECT_GT(after_hit.query_hits, after_miss.query_hits);
 }
 
+TEST(Intern, ProbeHitsCountNodeAndConstraintHits) {
+  InternToggle on(true);
+  const Query one = Q("[hit_count_probe = \"one\"]");
+  const Query two = Q("[hit_count_probe = 2]");
+  const Query both = Query::And({one, two});
+
+  // A leaf the node-table probe finds counts a node hit and a constraint
+  // hit, and nothing else; so does a cross-representation alias.
+  InternStats before = QueryInternStats();
+  Query leaf = Query::Leaf(
+      MakeSel(Attr::Simple("hit_count_probe"), Op::kEq, Value::Str("one")));
+  Query alias = Query::Leaf(
+      MakeSel(Attr::Simple("hit_count_probe"), Op::kEq, Value::Real(2.0)));
+  InternStats after = QueryInternStats();
+  EXPECT_EQ(leaf.identity(), one.identity());
+  EXPECT_EQ(alias.identity(), two.identity());
+  EXPECT_EQ(after.query_hits - before.query_hits, 2u);
+  EXPECT_EQ(after.constraint_hits - before.constraint_hits, 2u);
+  EXPECT_EQ(after.query_misses, before.query_misses);
+  EXPECT_EQ(after.constraint_misses, before.constraint_misses);
+
+  // An existing branch counts one node hit and no constraint activity.
+  before = after;
+  Query again = Query::And({leaf, alias});
+  after = QueryInternStats();
+  EXPECT_EQ(again.identity(), both.identity());
+  EXPECT_EQ(after.query_hits - before.query_hits, 1u);
+  EXPECT_EQ(after.constraint_hits, before.constraint_hits);
+  EXPECT_EQ(after.query_misses, before.query_misses);
+
+  // A new leaf counts one node miss and one constraint miss.
+  before = after;
+  Query fresh = Query::Leaf(
+      MakeSel(Attr::Simple("hit_count_probe"), Op::kEq, Value::Int(3)));
+  after = QueryInternStats();
+  EXPECT_EQ(after.query_misses - before.query_misses, 1u);
+  EXPECT_EQ(after.constraint_misses - before.constraint_misses, 1u);
+  EXPECT_EQ(after.query_hits, before.query_hits);
+  EXPECT_EQ(after.constraint_hits, before.constraint_hits);
+}
+
 TEST(Intern, MetricsBridgeBackfillsAndDetaches) {
   InternToggle on(true);
   Query warmup = Q("[metrics_probe = 1] and [metrics_probe = 2]");
@@ -327,6 +368,82 @@ TEST(InternReclaim, ConcurrentBuildersKeepOneNodePerStructure) {
   const InternStats after = QueryInternStats();
   const uint64_t inserted = after.query_nodes - before.query_nodes;
   EXPECT_GT(inserted, static_cast<uint64_t>(kThreads * kRounds / 2));
+  EXPECT_LT(after.query_live, before.query_live + inserted / 2);
+}
+
+TEST(InternReclaim, ConcurrentParseHitsAndMissesKeepOneNodePerStructure) {
+  // Two threads parse one shared set of texts, whose nodes after the first
+  // rounds are all found by the constructors' probes. Two others parse texts
+  // that each carry a nonce leaf, so every shard keeps inserting and
+  // sweeping underneath those probes. Each thread keeps a sliding window of
+  // live parses; everything else it parses dies at once.
+  InternToggle on(true);
+  std::vector<std::string> shared;
+  std::mt19937 text_rng(4243);
+  const RandomQueryOptions small{.num_attrs = 4, .num_values = 3};
+  for (int i = 0; i < 48; ++i) {
+    shared.push_back(ToParseableText(RandomQuery(text_rng, small)));
+  }
+  constexpr int kHitThreads = 2;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3000;
+  constexpr size_t kWindow = 32;
+  const InternStats before = QueryInternStats();
+  std::vector<std::deque<Query>> windows(kThreads);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(104729 * (t + 1)));
+      std::deque<Query>& window = windows[t];
+      for (int round = 0; round < kRounds; ++round) {
+        std::string text = shared[rng() % shared.size()];
+        if (t >= kHitThreads) {
+          text = "[nonce = " + std::to_string(t * kRounds + round) +
+                 "] and (" + text + ")";
+        }
+        Result<Query> parsed = ParseQuery(text);
+        if (!parsed.ok()) {
+          ++failures[t];
+          continue;
+        }
+        window.push_back(*std::move(parsed));
+        if (window.size() > kWindow) window.pop_front();
+        // A held query rebuilds, and re-parses, to its own node.
+        const Query& kept = window[rng() % window.size()];
+        Result<Query> reparsed = ParseQuery(ToParseableText(kept));
+        if (Rebuild(kept).identity() != kept.identity() || !reparsed.ok() ||
+            reparsed->identity() != kept.identity()) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
+  // Across threads, live handles share a node exactly when their
+  // structures are equal.
+  std::vector<Query> live;
+  for (const std::deque<Query>& window : windows) {
+    live.insert(live.end(), window.begin(), window.end());
+  }
+  size_t shared_pairs = 0;
+  for (size_t i = 0; i < live.size(); ++i) {
+    for (size_t j = i + 1; j < live.size(); ++j) {
+      const bool same_node = live[i].identity() == live[j].identity();
+      EXPECT_EQ(same_node, DeepEquals(live[i], live[j]))
+          << live[i].ToString() << " vs " << live[j].ToString();
+      shared_pairs += same_node ? 1 : 0;
+    }
+  }
+  EXPECT_GT(shared_pairs, 0u);
+  // The nonce threads inserted far more entries than stayed resident.
+  const InternStats after = QueryInternStats();
+  const uint64_t inserted = after.query_nodes - before.query_nodes;
+  EXPECT_GT(inserted, static_cast<uint64_t>((kThreads - kHitThreads) * kRounds));
   EXPECT_LT(after.query_live, before.query_live + inserted / 2);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "qmap/common/fnv.h"
+
 namespace qmap {
 namespace {
 
@@ -69,6 +74,34 @@ TEST(Value, DateEqualityRespectsGranularity) {
   Value y97 = Value::OfDate(Date{1997, {}, {}});
   EXPECT_FALSE(may97.Equals(y97));
   EXPECT_TRUE(may97.Equals(Value::OfDate(Date{1997, 5, {}})));
+}
+
+// Fingerprints are persisted in store keys, so CanonicalHash must hash
+// exactly the bytes ToString prints, at every digit-count boundary.
+TEST(Value, CanonicalHashIsFnvOfThePrintedForm) {
+  const int64_t ints[] = {0,
+                          1,
+                          -1,
+                          9,
+                          -9,
+                          10,
+                          -10,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()};
+  for (int64_t v : ints) {
+    const Value value = Value::Int(v);
+    EXPECT_EQ(value.CanonicalHash(), Fnv64Hash(value.ToString())) << v;
+  }
+  const double doubles[] = {0.0,    1.0,   -1.0,    9.0,     -9.0,
+                            10.0,   -10.0, 1e15 - 1, -(1e15 - 1),
+                            1e15,   9007199254740992.0 /* 2^53 */,
+                            -0.0,   2.5,   -0.125};
+  for (double v : doubles) {
+    const Value value = Value::Real(v);
+    EXPECT_EQ(value.CanonicalHash(), Fnv64Hash(value.ToString())) << v;
+  }
+  // Int(3) and Real(3.0) print alike, so they hash alike.
+  EXPECT_EQ(Value::Int(-10).CanonicalHash(), Value::Real(-10.0).CanonicalHash());
 }
 
 }  // namespace
