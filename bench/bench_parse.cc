@@ -2,10 +2,21 @@
 // nodes, on every path a request takes (the front-end's ParseQuery, the rule
 // DSL at set-up, and the decode of every translation a wire worker returns).
 //
-//   ParseQuery_AllHit       — one ParseQuery of ~100 query texts shaped like
-//                             the e2e hot set, all held, so every node the
-//                             parse builds already exists. allocs_per_iter
-//                             pins the allocation-free probe path at 0.
+//   ParseQuery_Repeated     — one thread re-parses ~100 query texts shaped
+//                             like the e2e hot set, each parsed twice before
+//                             timing, so ParseQuery's per-thread memo
+//                             answers every parse; memo_hit_frac reports
+//                             the share it answered. allocs_per_iter pins
+//                             the memo's answer at 0.
+//   ParseQuery_AllHit       — the same texts, all held, so every node the
+//                             parse builds already exists, but each pass
+//                             over them ends every text in a different run
+//                             of spaces and tabs (the pass number in binary,
+//                             rewritten in place), so no text repeats and
+//                             the memo, which keys on the exact text, never
+//                             answers: every parse lexes and probes the
+//                             intern tables. allocs_per_iter pins that
+//                             allocation-free probe path at 0.
 //   ParseQuery_Novel        — the same texts behind a leaf carrying a fresh
 //                             nonce each iteration: the nonce leaf and the
 //                             root miss, the rest hits; each parse dies at
@@ -13,7 +24,10 @@
 //   ParseMappingSpec        — the rule DSL of synthetic specs like the
 //                             e2e sources'.
 //   DecodeTranslateResponse — one 7-source wire response whose translations
-//                             are all held.
+//                             are all held, decoded over and over, so after
+//                             the first two decodes the memo answers each
+//                             of its texts, as on a front-end that keeps
+//                             receiving the same answers.
 //
 // Counters whose names contain "allocs" are pinned one-sided by
 // bench/check_bench_regression.py; times get the loose smoke tolerance.
@@ -21,6 +35,7 @@
 #define QMAP_BENCH_COUNT_ALLOCS
 #include "bench_util.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +46,7 @@
 
 #include "qmap/contexts/synthetic.h"
 #include "qmap/core/translator.h"
+#include "qmap/expr/intern.h"
 #include "qmap/expr/parser.h"
 #include "qmap/rules/spec_parser.h"
 #include "qmap/wire/messages.h"
@@ -116,20 +132,63 @@ void ReportAllocs(benchmark::State& state, uint64_t allocs_before) {
       benchmark::Counter::kAvgIterations);
 }
 
-void ParseQuery_AllHit(benchmark::State& state) {
+void ParseQuery_Repeated(benchmark::State& state) {
   const std::vector<std::string> texts = HotTexts();
   std::vector<qmap::Query> held;
-  double bytes = 0;
   for (const std::string& text : texts) {
+    Parse(text);
     held.push_back(Parse(text));
-    bytes += static_cast<double>(text.size());
   }
   size_t next = 0;
+  const qmap::InternStats before = qmap::QueryInternStats();
   const uint64_t allocs_before = qmap_bench::AllocCount();
   for (auto _ : state) {
     qmap::Result<qmap::Query> q = qmap::ParseQuery(texts[next]);
     benchmark::DoNotOptimize(q);
     next = next + 1 == texts.size() ? 0 : next + 1;
+  }
+  ReportAllocs(state, allocs_before);
+  const qmap::InternStats after = qmap::QueryInternStats();
+  const double hits =
+      static_cast<double>(after.parse_memo_hits - before.parse_memo_hits);
+  const double misses =
+      static_cast<double>(after.parse_memo_misses - before.parse_memo_misses);
+  state.counters["memo_hit_frac"] = hits / std::max(1.0, hits + misses);
+}
+BENCHMARK(ParseQuery_Repeated);
+
+void ParseQuery_AllHit(benchmark::State& state) {
+  // Each text ends in kVariantBits blanks, a space or a tab per bit of the
+  // pass number. The pass count runs on across the benchmark's repeated
+  // runs, so no text is ever parsed twice.
+  constexpr size_t kVariantBits = 24;
+  static uint64_t pass = 0;
+  std::vector<std::string> texts = HotTexts();
+  std::vector<qmap::Query> held;
+  double bytes = 0;
+  for (std::string& text : texts) {
+    held.push_back(Parse(text));
+    bytes += static_cast<double>(text.size());
+    text.append(kVariantBits, ' ');
+  }
+  const auto rewrite = [&](std::string& text) {
+    char* blanks = text.data() + text.size() - kVariantBits;
+    for (size_t bit = 0; bit < kVariantBits; ++bit) {
+      blanks[bit] = (pass >> bit) & 1 ? '\t' : ' ';
+    }
+  };
+  ++pass;
+  for (std::string& text : texts) rewrite(text);
+  size_t next = 0;
+  const uint64_t allocs_before = qmap_bench::AllocCount();
+  for (auto _ : state) {
+    qmap::Result<qmap::Query> q = qmap::ParseQuery(texts[next]);
+    benchmark::DoNotOptimize(q);
+    if (++next == texts.size()) {
+      next = 0;
+      ++pass;
+      for (std::string& text : texts) rewrite(text);
+    }
   }
   ReportAllocs(state, allocs_before);
   state.counters["bytes_per_query"] = bytes / static_cast<double>(texts.size());
@@ -138,7 +197,8 @@ BENCHMARK(ParseQuery_AllHit);
 
 void ParseQuery_Novel(benchmark::State& state) {
   // Each text starts with a nonce leaf whose fixed-width value field is
-  // rewritten in place, so the loop itself allocates nothing.
+  // rewritten in place, so the loop itself allocates nothing. The nonce
+  // runs on across the benchmark's repeated runs, so no text repeats.
   const std::string prefix = "[nonce = ";
   constexpr size_t kNonceDigits = 12;
   std::vector<std::string> texts;
@@ -148,7 +208,7 @@ void ParseQuery_Novel(benchmark::State& state) {
   }
   std::vector<qmap::Query> held;
   for (const std::string& hot : HotTexts()) held.push_back(Parse(hot));
-  uint64_t nonce = 100000000000;
+  static uint64_t nonce = 100000000000;
   size_t next = 0;
   const uint64_t allocs_before = qmap_bench::AllocCount();
   for (auto _ : state) {

@@ -5,11 +5,24 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
+
+// qmap's build, as bench/CMakeLists.txt configured it.
+#ifndef QMAP_BENCH_BUILD_TYPE
+#define QMAP_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef QMAP_BENCH_COMPILER
+#define QMAP_BENCH_COMPILER "unknown"
+#endif
+#ifndef QMAP_BENCH_SOURCE_DIR
+#define QMAP_BENCH_SOURCE_DIR "."
+#endif
 
 namespace qmap_bench {
 
@@ -28,7 +41,44 @@ inline uint64_t AllocCount() {
   return AllocCounterRef().load(std::memory_order_relaxed);
 }
 
-/// Runs the google-benchmark main loop with two additions over the stock
+/// Runs `git -C <qmap source dir> <args>`; true when it exits 0, with the
+/// first line it printed (without the newline) in `*line`.
+inline bool Git(const char* args, std::string* line) {
+  const std::string command = std::string("git -C '") + QMAP_BENCH_SOURCE_DIR +
+                              "' " + args + " 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return false;
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  *line = out.substr(0, out.find('\n'));
+  return pclose(pipe) == 0;
+}
+
+/// Stamps the run's JSON context with qmap's own build type, compiler, CPU
+/// count and git revision (and whether tracked files had uncommitted
+/// changes), the way e2e_bench stamps its runs; libbenchmark's
+/// `library_build_type` describes libbenchmark, not qmap.
+/// bench/check_bench_regression.py refuses to compare two stamped runs
+/// whose build type or CPU count differ.
+inline void StampContext() {
+  benchmark::AddCustomContext("qmap_build_type", QMAP_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("qmap_compiler", QMAP_BENCH_COMPILER);
+  benchmark::AddCustomContext(
+      "qmap_num_cpus", std::to_string(std::thread::hardware_concurrency()));
+  std::string revision;
+  std::string change;
+  const bool have_revision = Git("rev-parse HEAD", &revision);
+  const bool have_status =
+      Git("status --porcelain --untracked-files=no", &change);
+  benchmark::AddCustomContext("qmap_git_revision",
+                              have_revision ? revision : "unknown");
+  benchmark::AddCustomContext(
+      "qmap_git_dirty",
+      !have_status ? "unknown" : (change.empty() ? "0" : "1"));
+}
+
+/// Runs the google-benchmark main loop with three additions over the stock
 /// benchmark_main:
 ///  - unless the caller passed --benchmark_out themselves, results are also
 ///    written to BENCH_<name>.json (benchmark's JSON schema) in the current
@@ -37,7 +87,8 @@ inline uint64_t AllocCount() {
 ///  - when the QMAP_BENCH_SMOKE environment variable is set (any value),
 ///    --benchmark_min_time=0.01 is appended so CI can smoke-run every bench
 ///    in seconds. Smoke numbers are for "does it run and emit JSON", not
-///    for performance comparison.
+///    for performance comparison;
+///  - the JSON context carries qmap's build stamp (StampContext).
 inline int BenchMain(const char* name, int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
@@ -58,6 +109,7 @@ inline int BenchMain(const char* name, int argc, char** argv) {
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+  StampContext();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

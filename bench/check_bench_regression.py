@@ -23,6 +23,13 @@ BOTH directions: deterministic outputs such as composed-rule counts and
 containment prune rates, where a silent drop is as much an algorithmic
 change as growth.
 
+Both runs' build stamps (the qmap_* keys bench/bench_util.h writes into the
+JSON context: build type, compiler, CPU count, git revision) are printed.
+Two stamped runs whose build type or CPU count differ are not compared: the
+script exits 2 with the reason, because their times and ratios say nothing
+about each other. A run without a stamp (the committed baselines predate
+it) is compared as before, with a warning.
+
 Improvements and new benchmarks never fail the check. Usage:
 
     check_bench_regression.py CURRENT.json BASELINE.json \
@@ -35,8 +42,18 @@ import json
 import sys
 
 
-def load_benchmarks(path, role):
-    """name -> benchmark entry, aggregates and error runs skipped.
+STAMP_KEYS = ("qmap_build_type", "qmap_compiler", "qmap_num_cpus",
+              "qmap_git_revision", "qmap_git_dirty")
+# Stamp fields that must agree before two runs' numbers can be compared.
+COMPARABLE_KEYS = ("qmap_build_type", "qmap_num_cpus")
+
+
+def load_run(path, role):
+    """(name -> benchmark entry, stamp) of one JSON run.
+
+    Aggregates and error runs are skipped. The stamp is {key: value} over
+    STAMP_KEYS found in the run's context, or None for a run written before
+    benches were stamped.
 
     Exits loudly (not with a KeyError/zero-entry pass) when the file is
     unreadable, is not JSON, or parses but has no "benchmarks" section — the
@@ -60,7 +77,28 @@ def load_benchmarks(path, role):
         if bench.get("run_type") == "aggregate" or "error_occurred" in bench:
             continue
         out[bench["name"]] = bench
-    return out
+    context = doc.get("context", {})
+    stamp = {key: context[key] for key in STAMP_KEYS if key in context}
+    return out, (stamp or None)
+
+
+def describe_stamp(stamp):
+    if stamp is None:
+        return "unstamped"
+    return ", ".join(f"{key[len('qmap_'):]}={stamp.get(key, '?')}"
+                     for key in STAMP_KEYS)
+
+
+def stamp_mismatch(current, baseline):
+    """Why two stamped runs cannot be compared, or None."""
+    if current is None or baseline is None:
+        return None
+    differ = [key for key in COMPARABLE_KEYS
+              if current.get(key) != baseline.get(key)]
+    if not differ:
+        return None
+    return "; ".join(f"{key[len('qmap_'):]} {baseline.get(key)!r} (baseline) "
+                     f"vs {current.get(key)!r} (current)" for key in differ)
 
 
 def pinned_counters(bench, extra_pins=()):
@@ -106,8 +144,21 @@ def main():
              "a regression as growth); repeatable")
     args = parser.parse_args()
 
-    current = load_benchmarks(args.current, "current-run")
-    baseline = load_benchmarks(args.baseline, "baseline")
+    current, current_stamp = load_run(args.current, "current-run")
+    baseline, baseline_stamp = load_run(args.baseline, "baseline")
+    print(f"current stamp:  {describe_stamp(current_stamp)}")
+    print(f"baseline stamp: {describe_stamp(baseline_stamp)}")
+    mismatch = stamp_mismatch(current_stamp, baseline_stamp)
+    if mismatch is not None:
+        print(f"error: refusing to compare {args.current} with "
+              f"{args.baseline}: their builds differ in {mismatch}",
+              file=sys.stderr)
+        return 2
+    for stamp, role in ((baseline_stamp, "baseline"),
+                        (current_stamp, "current run")):
+        if stamp is None:
+            print(f"warning: the {role} is unstamped, so its build type and "
+                  "CPU count are unknown; comparing anyway", file=sys.stderr)
     if not baseline:
         print(f"error: no benchmarks in baseline {args.baseline}")
         return 1

@@ -5,8 +5,6 @@
 
 namespace qmap {
 
-class MetricsRegistry;
-
 /// Controls and introspection for the hash-consed query IR (DESIGN.md §9).
 ///
 /// When interning is enabled (the default), Query::True/Leaf/And/Or and the
@@ -35,9 +33,12 @@ class MetricsRegistry;
 /// either way; only sharing and the pointer-equality guarantee are affected.
 /// The toggle is not thread-safe against concurrent query construction.
 
-/// Statistics of the process-wide intern tables.
-/// A leaf found by the node-table probe counts a constraint hit as well as
-/// a query hit, so the constraint counters cover every leaf construction.
+/// Statistics of the process-wide intern tables, and of the parse memo in
+/// front of them. A leaf found by the node-table probe counts a constraint
+/// hit as well as a query hit, so the constraint counters cover every leaf
+/// construction. A parse the memo answers constructs nothing, so it counts
+/// no query or constraint hit. TranslationService exports every counter
+/// here to its registry when it refreshes its gauges.
 struct InternStats {
   uint64_t query_hits = 0;        // constructions resolved to an existing node
   uint64_t query_misses = 0;      // constructions that inserted a new node
@@ -47,6 +48,8 @@ struct InternStats {
   uint64_t constraint_misses = 0; // leaf constraints newly interned
   uint64_t constraint_nodes = 0;  // constraints ever inserted (monotonic)
   uint64_t constraint_live = 0;   // constraints currently in the table
+  uint64_t parse_memo_hits = 0;   // parses answered by the thread's memo
+  uint64_t parse_memo_misses = 0; // parses (interning on) it did not answer
 };
 
 InternStats QueryInternStats();
@@ -56,19 +59,10 @@ InternStats QueryInternStats();
 void SetQueryInternEnabled(bool enabled);
 bool QueryInternEnabled();
 
-/// Bridges intern-table activity into `registry` as monotonic counters:
-///   qmap_intern_query_hits_total / qmap_intern_query_nodes_total
-///   qmap_intern_constraint_hits_total / qmap_intern_constraint_nodes_total
-/// Current totals are backfilled at attach time, so attaching after warm-up
-/// still reports lifetime values. Pass nullptr to detach. The registry must
-/// outlive all query construction (or a subsequent AttachInternMetrics).
-void AttachInternMetrics(MetricsRegistry* registry);
-
-/// Detaches intern metrics only if `registry` is the currently attached one.
-/// Owners of short-lived registries (TranslationService) call this on
-/// destruction so the global bridge never dangles into a freed registry,
-/// without clobbering a newer attachment.
-void DetachInternMetricsIf(MetricsRegistry* registry);
+/// Internal: ParseQuery counts each parse it makes with interning on here,
+/// as a hit when its per-thread memo answered it (parser.h) and a miss
+/// otherwise. One relaxed atomic add, no lock.
+void CountParseMemo(bool hit);
 
 }  // namespace qmap
 

@@ -1,9 +1,15 @@
 #include "qmap/expr/parser.h"
 
+#include <cstdint>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "qmap/common/fnv.h"
+#include "qmap/expr/intern.h"
 
 namespace qmap {
 namespace {
@@ -12,6 +18,77 @@ namespace {
 // the way out.
 constexpr size_t kKeepTokenBytes = size_t{16} << 10;
 constexpr size_t kKeepOperands = 256;
+
+// A direct-mapped memo from query text to the interned Query that text
+// parsed to, one per thread. A text is admitted only the second time it
+// lands in its slot: the first sighting only marks the slot with the text's
+// hash, so a text parsed once pins nothing. An admitted text stays until
+// another text's second sighting in its slot replaces it. The marks are
+// allocated on the thread's first noted parse, the entries on its first
+// admission.
+class ParseMemo {
+ public:
+  // The query `text` (with FNV-1a hash `hash`) parsed to earlier on this
+  // thread, if the memo holds it.
+  const Query* Find(uint64_t hash, std::string_view text) const {
+    if (entries_ == nullptr) return nullptr;
+    const Entry* entry = entries_[Slot(hash)].get();
+    if (entry == nullptr || entry->hash != hash || entry->text != text) {
+      return nullptr;
+    }
+    return &entry->query;
+  }
+
+  // Notes that `text` parsed to `query`: marks its slot on a first sighting
+  // and admits it on a second.
+  void Note(uint64_t hash, std::string_view text, const Query& query) {
+    if (marks_ == nullptr) {
+      marks_ = std::make_unique<uint32_t[]>(kParseMemoSlots);
+    }
+    const size_t slot = Slot(hash);
+    // Never 0, the mark of a slot nothing has landed in.
+    const uint32_t mark = static_cast<uint32_t>(hash >> 32) | 1;
+    if (marks_[slot] != mark) {
+      marks_[slot] = mark;
+      return;
+    }
+    if (entries_ == nullptr) {
+      entries_ = std::make_unique<std::unique_ptr<Entry>[]>(kParseMemoSlots);
+    }
+    std::unique_ptr<Entry>& entry = entries_[slot];
+    if (entry == nullptr) entry = std::make_unique<Entry>();
+    entry->hash = hash;
+    entry->text.assign(text);
+    entry->query = query;
+  }
+
+ private:
+  struct Entry {
+    uint64_t hash = 0;
+    std::string text;
+    Query query;
+  };
+
+  static size_t Slot(uint64_t hash) { return hash & (kParseMemoSlots - 1); }
+
+  std::unique_ptr<uint32_t[]> marks_;
+  std::unique_ptr<std::unique_ptr<Entry>[]> entries_;
+};
+
+// Whether `v` lies in T's range, so that casting it to T is defined. T's
+// minimum is a power of two, so both bounds are exact doubles.
+template <typename T>
+bool Fits(double v) {
+  constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
+  return v >= kMin && v < -kMin;
+}
+
+Status OutOfRange(const Token& t) {
+  std::string message = "number ";
+  message.append(t.text);
+  return Status::ParseError(message + " out of range at offset " +
+                            std::to_string(t.offset));
+}
 
 // Recursive descent over one cursor. And/Or collect their operands on
 // `operands`, a stack shared by the nested calls: each call pushes above
@@ -101,6 +178,11 @@ bool NextIsLiteralCall(const TokenCursor& cursor) {
          cursor.Peek(1).kind == TokenKind::kPunct && cursor.Peek(1).text == "(";
 }
 
+Result<int> IntLiteral(const Token& t) {
+  if (!Fits<int>(t.number)) return OutOfRange(t);
+  return static_cast<int>(t.number);
+}
+
 Result<Attr> ParseAttrAt(TokenCursor& cursor) {
   Result<std::string_view> head = cursor.ExpectIdent();
   if (!head.ok()) return head.status();
@@ -111,7 +193,9 @@ Result<Attr> ParseAttrAt(TokenCursor& cursor) {
       return Status::ParseError("expected integer view index at offset " +
                                 std::to_string(t.offset));
     }
-    instance = static_cast<int>(cursor.Next().number);
+    Result<int> index = IntLiteral(cursor.Next());
+    if (!index.ok()) return index.status();
+    instance = *index;
     Status s = cursor.ExpectPunct("]");
     if (!s.ok()) return s;
   }
@@ -156,11 +240,13 @@ Result<Value> ParseValueAt(TokenCursor& cursor) {
   }
   if (t.kind == TokenKind::kNumber) {
     const Token& num = cursor.Next();
-    if (num.is_integer) return Value::Int(static_cast<int64_t>(num.number));
-    return Value::Real(num.number);
+    if (!num.is_integer) return Value::Real(num.number);
+    if (!Fits<int64_t>(num.number)) return OutOfRange(num);
+    return Value::Int(static_cast<int64_t>(num.number));
   }
   if (NextIsLiteralCall(cursor)) {
     const std::string fn(cursor.Next().text);
+    const bool is_date = fn == "date";
     cursor.Next();  // '('
     // No literal takes more than three arguments; a longer list is still
     // counted, for its arity error.
@@ -171,6 +257,7 @@ Result<Value> ParseValueAt(TokenCursor& cursor) {
       if (arg.kind != TokenKind::kNumber) {
         return Status::ParseError("expected number in " + fn + "() literal");
       }
+      if (is_date && !Fits<int>(arg.number)) return OutOfRange(arg);
       if (num_args < std::size(args)) args[num_args] = arg.number;
       ++num_args;
       cursor.Next();
@@ -178,7 +265,7 @@ Result<Value> ParseValueAt(TokenCursor& cursor) {
     }
     Status s = cursor.ExpectPunct(")");
     if (!s.ok()) return s;
-    if (fn == "date") {
+    if (is_date) {
       if (num_args > 3) {
         return Status::ParseError("date() takes 1-3 integer arguments");
       }
@@ -227,10 +314,24 @@ Result<Query> ParseQuery(std::string_view text) {
   // Nothing a parse calls parses again, so one scratch per thread suffices.
   thread_local TokenCursor cursor;
   thread_local std::vector<Query> operands;
+  thread_local ParseMemo memo;
+  // With interning off a parse must build fresh nodes, so the memo is
+  // neither read nor written and nothing is counted.
+  const bool interning = QueryInternEnabled();
+  const bool memoize = interning && text.size() <= kParseMemoMaxTextBytes;
+  const uint64_t hash = memoize ? Fnv64Hash(text) : 0;
+  if (memoize) {
+    if (const Query* hit = memo.Find(hash, text)) {
+      CountParseMemo(/*hit=*/true);
+      return *hit;
+    }
+  }
+  if (interning) CountParseMemo(/*hit=*/false);
   Status s = cursor.Reset(text);
   Result<Query> q = s.ok() ? QueryParser(cursor, operands).Whole() : s;
   cursor.Release(kKeepTokenBytes);
   if (operands.capacity() > kKeepOperands) std::vector<Query>().swap(operands);
+  if (memoize && q.ok()) memo.Note(hash, text, *q);
   return q;
 }
 

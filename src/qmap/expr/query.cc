@@ -13,7 +13,6 @@
 
 #include "qmap/common/fnv.h"
 #include "qmap/expr/intern.h"
-#include "qmap/obs/metrics.h"
 
 namespace qmap {
 namespace {
@@ -176,8 +175,8 @@ class InternTables {
              SamePrintedForm(*entry.constraint, c);
     });
     if (found != nullptr) {
-      Bump(constraint_hits_, constraint_hits_counter_);
-      Bump(query_hits_, query_hits_counter_);
+      constraint_hits_.fetch_add(1, std::memory_order_relaxed);
+      query_hits_.fetch_add(1, std::memory_order_relaxed);
       return found;
     }
     auto node = std::make_shared<Query::Node>();
@@ -204,7 +203,7 @@ class InternTables {
       return true;
     });
     if (found != nullptr) {
-      Bump(query_hits_, query_hits_counter_);
+      query_hits_.fetch_add(1, std::memory_order_relaxed);
       return found;
     }
     return InsertNode(NewBranchNode(kind, fp, children));
@@ -223,53 +222,13 @@ class InternTables {
     return s;
   }
 
-  void Attach(MetricsRegistry* registry) {
-    std::lock_guard<std::mutex> lock(attach_mu_);
-    if (registry == nullptr) {
-      query_hits_counter_.store(nullptr, std::memory_order_release);
-      query_nodes_counter_.store(nullptr, std::memory_order_release);
-      constraint_hits_counter_.store(nullptr, std::memory_order_release);
-      constraint_nodes_counter_.store(nullptr, std::memory_order_release);
-      attached_registry_ = nullptr;
-      return;
-    }
-    attached_registry_ = registry;
-    // Backfill so lifetime totals survive attaching after warm-up; only the
-    // shortfall is added in case the same registry is re-attached.
-    auto bind = [](Counter& counter, uint64_t total,
-                   std::atomic<Counter*>& slot) {
-      uint64_t have = counter.value();
-      if (total > have) counter.Inc(total - have);
-      slot.store(&counter, std::memory_order_release);
-    };
-    InternStats s = Stats();
-    bind(registry->counter("qmap_intern_query_hits_total"), s.query_hits,
-         query_hits_counter_);
-    bind(registry->counter("qmap_intern_query_nodes_total"), s.query_nodes,
-         query_nodes_counter_);
-    bind(registry->counter("qmap_intern_constraint_hits_total"),
-         s.constraint_hits, constraint_hits_counter_);
-    bind(registry->counter("qmap_intern_constraint_nodes_total"),
-         s.constraint_nodes, constraint_nodes_counter_);
-  }
-
-  void DetachIf(MetricsRegistry* registry) {
-    std::lock_guard<std::mutex> lock(attach_mu_);
-    if (attached_registry_ != registry) return;
-    query_hits_counter_.store(nullptr, std::memory_order_release);
-    query_nodes_counter_.store(nullptr, std::memory_order_release);
-    constraint_hits_counter_.store(nullptr, std::memory_order_release);
-    constraint_nodes_counter_.store(nullptr, std::memory_order_release);
-    attached_registry_ = nullptr;
-  }
-
  private:
   std::shared_ptr<const Constraint> InternConstraint(Constraint c,
                                                      uint64_t fp) {
     auto found = constraints_.Find(
         fp, [&](const Constraint& entry) { return SamePrintedForm(entry, c); });
     if (found != nullptr) {
-      Bump(constraint_hits_, constraint_hits_counter_);
+      constraint_hits_.fetch_add(1, std::memory_order_relaxed);
       return found;
     }
     auto owned = std::make_shared<const Constraint>(std::move(c));
@@ -279,9 +238,9 @@ class InternTables {
         [&](const Constraint& entry) { return SamePrintedForm(entry, *owned); },
         &inserted);
     if (inserted) {
-      Bump(constraint_misses_, constraint_nodes_counter_);
+      constraint_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      Bump(constraint_hits_, constraint_hits_counter_);
+      constraint_hits_.fetch_add(1, std::memory_order_relaxed);
     }
     return interned;
   }
@@ -299,9 +258,9 @@ class InternTables {
         [&](const Query::Node& entry) { return SameNode(entry, built); },
         &inserted);
     if (inserted) {
-      Bump(query_misses_, query_nodes_counter_);
+      query_misses_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      Bump(query_hits_, query_hits_counter_);
+      query_hits_.fetch_add(1, std::memory_order_relaxed);
     }
     return interned;
   }
@@ -318,16 +277,6 @@ class InternTables {
     return true;
   }
 
-  // Counts one intern-table outcome and mirrors it into the attached
-  // registry, if any.
-  static void Bump(std::atomic<uint64_t>& total,
-                   const std::atomic<Counter*>& counter_slot) {
-    total.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* counter = counter_slot.load(std::memory_order_acquire)) {
-      counter->Inc();
-    }
-  }
-
   InternTable<Query::Node> nodes_;
   InternTable<Constraint> constraints_;
 
@@ -335,14 +284,15 @@ class InternTables {
   std::atomic<uint64_t> query_misses_{0};
   std::atomic<uint64_t> constraint_hits_{0};
   std::atomic<uint64_t> constraint_misses_{0};
-
-  std::mutex attach_mu_;
-  MetricsRegistry* attached_registry_ = nullptr;
-  std::atomic<Counter*> query_hits_counter_{nullptr};
-  std::atomic<Counter*> query_nodes_counter_{nullptr};
-  std::atomic<Counter*> constraint_hits_counter_{nullptr};
-  std::atomic<Counter*> constraint_nodes_counter_{nullptr};
 };
+
+// ParseQuery's memo outcomes, each on its own cache line: every parsing
+// thread adds to one of them, and InternFlag() is read on every parse.
+struct alignas(64) MemoCounter {
+  std::atomic<uint64_t> value{0};
+};
+MemoCounter parse_memo_hits;
+MemoCounter parse_memo_misses;
 
 // Borrowed child handles, inline up to kInline and on the heap beyond.
 class ChildList {
@@ -390,19 +340,22 @@ void AppendFlat(NodeKind kind, const Query& child, ChildList* out) {
 
 }  // namespace
 
-InternStats QueryInternStats() { return InternTables::Global().Stats(); }
+InternStats QueryInternStats() {
+  InternStats s = InternTables::Global().Stats();
+  s.parse_memo_hits = parse_memo_hits.value.load(std::memory_order_relaxed);
+  s.parse_memo_misses =
+      parse_memo_misses.value.load(std::memory_order_relaxed);
+  return s;
+}
+
+void CountParseMemo(bool hit) {
+  (hit ? parse_memo_hits : parse_memo_misses)
+      .value.fetch_add(1, std::memory_order_relaxed);
+}
 
 void SetQueryInternEnabled(bool enabled) { InternFlag() = enabled; }
 
 bool QueryInternEnabled() { return InternFlag(); }
-
-void AttachInternMetrics(MetricsRegistry* registry) {
-  InternTables::Global().Attach(registry);
-}
-
-void DetachInternMetricsIf(MetricsRegistry* registry) {
-  InternTables::Global().DetachIf(registry);
-}
 
 Query Query::True() {
   static const std::shared_ptr<const Node>& node =

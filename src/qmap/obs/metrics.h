@@ -19,6 +19,17 @@ class Counter {
   void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
+  /// Adds the shortfall of the value against `total`, if any: mirrors a
+  /// monotonic total kept elsewhere (process-wide stats read at scrape
+  /// time). Concurrent or repeated calls never count a unit twice.
+  void RaiseTo(uint64_t total) {
+    uint64_t have = value_.load(std::memory_order_relaxed);
+    while (have < total &&
+           !value_.compare_exchange_weak(have, total,
+                                         std::memory_order_relaxed)) {
+    }
+  }
+
  private:
   std::atomic<uint64_t> value_{0};
 };

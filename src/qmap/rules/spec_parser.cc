@@ -19,7 +19,9 @@ Result<AttrExpr> ParseAttrExpr(TokenCursor& cursor) {
     cursor.Next();
     const Token& t = cursor.Peek();
     if (t.kind == TokenKind::kNumber && t.is_integer) {
-      index_literal = static_cast<int>(cursor.Next().number);
+      Result<int> index = IntLiteral(cursor.Next());
+      if (!index.ok()) return index.status();
+      index_literal = *index;
     } else if (t.kind == TokenKind::kIdent) {
       index_var = cursor.Next().text;
     } else {

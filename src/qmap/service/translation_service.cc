@@ -104,7 +104,6 @@ TranslationService::TranslationService(ServiceOptions options)
     MetricsRegistry* metrics = options_.obs.metrics;
     cache_.AttachMetrics(metrics);
     if (store_ != nullptr) store_->AttachMetrics(metrics);
-    AttachInternMetrics(metrics);
     if (pool_ != nullptr) pool_->AttachMetrics(metrics);
     translate_counter_ = &metrics->counter(
         "qmap_translate_total", "Translate calls received by the service.");
@@ -152,7 +151,6 @@ TranslationService::~TranslationService() {
   // service is torn down.
   StopAdmin();
   if (options_.obs.metrics != nullptr) {
-    DetachInternMetricsIf(options_.obs.metrics);
     cache_.DetachMetricsIf(options_.obs.metrics);
     if (store_ != nullptr) store_->DetachMetricsIf(options_.obs.metrics);
   }
@@ -1119,16 +1117,8 @@ ServiceStatus TranslationService::StatusSnapshot() const {
 void TranslationService::BridgeCompileStats() const {
   if (match_compile_ns_counter_ == nullptr) return;
   const CompiledPlanBuildStats global = CompiledPlanGlobalStats();
-  // exchange() makes each delta claimed by exactly one bridging thread, so
-  // concurrent calls never double-count a compile.
-  const uint64_t prev_ns = bridged_compile_ns_.exchange(global.compile_ns);
-  if (global.compile_ns > prev_ns) {
-    match_compile_ns_counter_->Inc(global.compile_ns - prev_ns);
-  }
-  const uint64_t prev_nodes = bridged_plan_nodes_.exchange(global.plan_nodes);
-  if (global.plan_nodes > prev_nodes) {
-    match_plan_nodes_counter_->Inc(global.plan_nodes - prev_nodes);
-  }
+  match_compile_ns_counter_->RaiseTo(global.compile_ns);
+  match_plan_nodes_counter_->RaiseTo(global.plan_nodes);
 }
 
 void TranslationService::UpdateGauges() const {
@@ -1147,7 +1137,36 @@ void TranslationService::UpdateGauges() const {
       ->gauge("qmap_store_live_records",
               "Live records indexed by the persistent translation store.")
       .Set(store_ != nullptr ? static_cast<int64_t>(store_->num_entries()) : 0);
+  // The intern and parse-memo totals are process-wide: each registry raises
+  // its counters to them here, so every service's registry reads them.
   const InternStats intern = QueryInternStats();
+  const struct {
+    const char* name;
+    const char* help;
+    uint64_t total;
+  } totals[] = {
+      {"qmap_intern_query_hits_total",
+       "Query-node constructions answered by the process-wide intern table.",
+       intern.query_hits},
+      {"qmap_intern_query_nodes_total",
+       "Query nodes ever inserted into the process-wide intern table.",
+       intern.query_nodes},
+      {"qmap_intern_constraint_hits_total",
+       "Leaf constraints answered by the process-wide intern table.",
+       intern.constraint_hits},
+      {"qmap_intern_constraint_nodes_total",
+       "Constraints ever inserted into the process-wide intern table.",
+       intern.constraint_nodes},
+      {"qmap_parse_memo_hits_total",
+       "Query parses answered by the parsing thread's text memo.",
+       intern.parse_memo_hits},
+      {"qmap_parse_memo_misses_total",
+       "Query parses, made with interning on, the text memo did not answer.",
+       intern.parse_memo_misses},
+  };
+  for (const auto& total : totals) {
+    metrics->counter(total.name, total.help).RaiseTo(total.total);
+  }
   metrics
       ->gauge("qmap_intern_query_nodes_live",
               "Query nodes resident in the process-wide intern table.")

@@ -255,8 +255,8 @@ class TranslationService {
  public:
   explicit TranslationService(ServiceOptions options = {});
 
-  /// Detaches the intern-metrics bridge if this service attached it (see
-  /// AttachInternMetrics), so the bridge never outlives the registry.
+  /// Detaches the cache's and the store's metrics from the registry, so
+  /// neither outlives it.
   ~TranslationService();
 
   /// Registers one source's mapping specification under `name` (unique per
@@ -412,6 +412,16 @@ class TranslationService {
   /// counters). This is what the admin endpoints serve; also useful
   /// directly in tests and embedding processes.
   ServiceStatus StatusSnapshot() const;
+
+  /// Refreshes the point-in-time gauges (pool queue depth, cache entries,
+  /// store live records, intern-table sizes, per-source breaker state) in the
+  /// attached registry, and raises the process-wide intern and parse-memo
+  /// counters (qmap_intern_*_total, qmap_parse_memo_*_total) to the current
+  /// QueryInternStats(). The admin handlers call it just before exporting,
+  /// so scrapes always see current values without the translation path
+  /// paying for them; a process that exports the registry itself calls it
+  /// first. No-op without a registry.
+  void UpdateGauges() const;
 
   /// Starts the admin/introspection HTTP server (see qmap/obs/admin_http.h)
   /// with handlers for /healthz, /readyz, /varz, /metrics, /statusz,
@@ -572,16 +582,9 @@ class TranslationService {
                                   : nullptr;
   }
 
-  /// Refreshes the point-in-time gauges (pool queue depth, cache entries,
-  /// store live records, per-source breaker state) in the attached registry.
-  /// Called by the admin handlers just before exporting, so scrapes always
-  /// see current values without the translation path paying for gauge
-  /// updates. No-op without a registry.
-  void UpdateGauges() const;
-
-  /// Folds the process-wide plan-compile telemetry (CompiledPlanGlobalStats)
-  /// into qmap_match_compile_ns / qmap_match_plan_nodes as deltas against
-  /// the bridged high-water marks. No-op without a registry.
+  /// Raises qmap_match_compile_ns / qmap_match_plan_nodes to the
+  /// process-wide plan-compile totals (CompiledPlanGlobalStats). No-op
+  /// without a registry.
   void BridgeCompileStats() const;
 
   /// Registers the /healthz .. /drainz handlers on `server`, plus
@@ -650,11 +653,6 @@ class TranslationService {
   Counter* compose_skipped_counter_ = nullptr;
   Counter* containment_checks_counter_ = nullptr;
   Counter* containment_pruned_counter_ = nullptr;
-  // High-water marks of the process-wide CompiledPlanGlobalStats() already
-  // bridged into the registry counters above (delta bridging — the global
-  // stats aggregate over every spec in the process, not just this service).
-  mutable std::atomic<uint64_t> bridged_compile_ns_{0};
-  mutable std::atomic<uint64_t> bridged_plan_nodes_{0};
 };
 
 }  // namespace qmap

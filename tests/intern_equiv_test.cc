@@ -24,22 +24,12 @@
 #include "qmap/expr/printer.h"
 #include "qmap/mediator/mediator.h"
 #include "qmap/service/translation_service.h"
+#include "test_util.h"
 
 namespace qmap {
 namespace {
 
-class InternToggle {
- public:
-  explicit InternToggle(bool enabled) : prior_(QueryInternEnabled()) {
-    SetQueryInternEnabled(enabled);
-  }
-  ~InternToggle() { SetQueryInternEnabled(prior_); }
-  InternToggle(const InternToggle&) = delete;
-  InternToggle& operator=(const InternToggle&) = delete;
-
- private:
-  bool prior_;
-};
+using testing::InternToggle;
 
 std::string RenderTranslation(const Translation& t) {
   return ToParseableText(t.mapped) + " / " + ToParseableText(t.filter);

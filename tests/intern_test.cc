@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -24,32 +25,22 @@
 
 #include "qmap/contexts/synthetic.h"
 #include "qmap/core/match_memo.h"
+#include "qmap/expr/parser.h"
 #include "qmap/expr/printer.h"
 #include "qmap/expr/query.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/service/translation_cache.h"
+#include "qmap/service/translation_service.h"
 #include "test_util.h"
 
 namespace qmap {
 namespace {
 
 using testing::C;
+using testing::DeepEquals;
+using testing::InternToggle;
 using testing::Q;
-
-/// RAII override of the interning toggle; restores the prior setting so test
-/// order never leaks a disabled interner into unrelated tests.
-class InternToggle {
- public:
-  explicit InternToggle(bool enabled) : prior_(QueryInternEnabled()) {
-    SetQueryInternEnabled(enabled);
-  }
-  ~InternToggle() { SetQueryInternEnabled(prior_); }
-  InternToggle(const InternToggle&) = delete;
-  InternToggle& operator=(const InternToggle&) = delete;
-
- private:
-  bool prior_;
-};
+using testing::Rebuild;
 
 TEST(Intern, TrueIsASingleton) {
   InternToggle on(true);
@@ -186,45 +177,72 @@ TEST(Intern, ProbeHitsCountNodeAndConstraintHits) {
   EXPECT_EQ(after.constraint_hits, before.constraint_hits);
 }
 
-TEST(Intern, MetricsBridgeBackfillsAndDetaches) {
+TEST(Intern, EveryServiceRegistryReadsTheTotalsAtScrape) {
+  // A wire worker's service and a front-end's service in one process, each
+  // with its own registry: a scrape of either reads the process-wide intern
+  // and parse-memo totals, however the work was split between them, and
+  // destroying one leaves the other exporting.
   InternToggle on(true);
-  Query warmup = Q("[metrics_probe = 1] and [metrics_probe = 2]");
-  (void)warmup;
-  InternStats stats = QueryInternStats();
+  auto make = [](MetricsRegistry* registry) {
+    ServiceOptions options;
+    options.num_threads = 1;
+    options.obs.metrics = registry;
+    auto service = std::make_unique<TranslationService>(options);
+    Result<MappingSpec> spec = MakeSyntheticSpec(SyntheticOptions{});
+    EXPECT_TRUE(spec.ok());
+    service->AddSource("s0", *spec);
+    return service;
+  };
+  const char* const kCounters[] = {
+      "qmap_intern_query_hits_total",      "qmap_intern_query_nodes_total",
+      "qmap_intern_constraint_hits_total", "qmap_intern_constraint_nodes_total",
+      "qmap_parse_memo_hits_total",        "qmap_parse_memo_misses_total"};
+  auto expected = [](const InternStats& s) {
+    return std::vector<uint64_t>{s.query_hits,        s.query_nodes,
+                                 s.constraint_hits,   s.constraint_nodes,
+                                 s.parse_memo_hits,   s.parse_memo_misses};
+  };
+  auto scraped = [&](MetricsRegistry& registry) {
+    std::vector<uint64_t> out;
+    for (const char* name : kCounters) {
+      out.push_back(registry.counter(name).value());
+    }
+    return out;
+  };
 
-  MetricsRegistry registry;
-  AttachInternMetrics(&registry);
-  // Attach backfills lifetime totals, so the counters start at the current
-  // stats, not at zero.
-  EXPECT_EQ(registry.counter("qmap_intern_query_hits_total").value(),
-            stats.query_hits);
-  EXPECT_EQ(registry.counter("qmap_intern_query_nodes_total").value(),
-            stats.query_nodes);
-  EXPECT_EQ(registry.counter("qmap_intern_constraint_hits_total").value(),
-            stats.constraint_hits);
-  EXPECT_EQ(registry.counter("qmap_intern_constraint_nodes_total").value(),
-            stats.constraint_nodes);
+  MetricsRegistry worker_metrics;
+  MetricsRegistry front_metrics;
+  auto worker = make(&worker_metrics);
+  auto front = make(&front_metrics);
+  // Only the worker translates; the third parse of the text is a memo hit.
+  for (int i = 0; i < 3; ++i) {
+    Result<Query> q = ParseQuery("[a0 = 1] and [scrape_probe = 7]");
+    ASSERT_TRUE(q.ok());
+    ASSERT_TRUE(worker->Translate(*q).ok());
+  }
+  worker->UpdateGauges();
+  front->UpdateGauges();
+  const InternStats first = QueryInternStats();
+  EXPECT_GT(first.parse_memo_hits, 0u);
+  EXPECT_EQ(scraped(worker_metrics), expected(first));
+  EXPECT_EQ(scraped(front_metrics), expected(first));
 
-  // Live updates flow through while attached.
-  Query hit = Q("[metrics_probe = 1]");
-  (void)hit;
-  EXPECT_GT(registry.counter("qmap_intern_query_hits_total").value(),
-            stats.query_hits);
-
-  // DetachIf ignores a registry that is not the attached one, then detaches
-  // the real one; construction afterwards must not touch the registry.
-  MetricsRegistry other;
-  DetachInternMetricsIf(&other);
-  uint64_t frozen = registry.counter("qmap_intern_query_hits_total").value();
-  Query still_bridged = Q("[metrics_probe = 1]");
-  (void)still_bridged;
-  EXPECT_GT(registry.counter("qmap_intern_query_hits_total").value(), frozen);
-
-  DetachInternMetricsIf(&registry);
-  frozen = registry.counter("qmap_intern_query_hits_total").value();
-  Query unbridged = Q("[metrics_probe = 1]");
-  (void)unbridged;
-  EXPECT_EQ(registry.counter("qmap_intern_query_hits_total").value(), frozen);
+  // Work after the worker is gone still reaches the front-end's registry.
+  // The node count only grows, so the text is new on every run.
+  worker.reset();
+  const Query fresh = Q("[scrape_probe = " + std::to_string(first.query_nodes) +
+                        "] or [scrape_probe = 9]");
+  front->UpdateGauges();
+  const InternStats second = QueryInternStats();
+  EXPECT_GT(second.query_nodes, first.query_nodes);
+  EXPECT_GT(second.parse_memo_misses, first.parse_memo_misses);
+  EXPECT_EQ(scraped(front_metrics), expected(second));
+  // Repeated scrapes add nothing once the counters have caught up.
+  front->UpdateGauges();
+  EXPECT_EQ(scraped(front_metrics), expected(second));
+  EXPECT_NE(front_metrics.ToPrometheusText().find(
+                "qmap_parse_memo_hits_total"),
+            std::string::npos);
 }
 
 TEST(Intern, MixedModeStructuralEqualityIsExact) {
@@ -283,30 +301,6 @@ TEST(TranslationCacheKeyTest, TypedAndStringPathsCoexist) {
 
 // ---------------------------------------------------------------------------
 // Reclamation: the tables keep an entry only while something else holds it.
-
-// Rebuilds `q` bottom-up through the public constructors, from copies of its
-// constraints, so the result shares nothing with `q` but what interning
-// finds in the tables.
-Query Rebuild(const Query& q) {
-  if (q.is_true()) return Query::True();
-  if (q.is_leaf()) return Query::Leaf(Constraint(q.constraint()));
-  std::vector<Query> children;
-  for (const Query& child : q.children()) children.push_back(Rebuild(child));
-  return q.kind() == NodeKind::kAnd ? Query::And(std::move(children))
-                                    : Query::Or(std::move(children));
-}
-
-// Structural equality by a full walk, without the pointer shortcut that
-// StructurallyEquals takes for two interned nodes.
-bool DeepEquals(const Query& a, const Query& b) {
-  if (a.kind() != b.kind()) return false;
-  if (a.is_leaf()) return SamePrintedForm(a.constraint(), b.constraint());
-  if (a.children().size() != b.children().size()) return false;
-  for (size_t i = 0; i < a.children().size(); ++i) {
-    if (!DeepEquals(a.children()[i], b.children()[i])) return false;
-  }
-  return true;
-}
 
 TEST(InternReclaim, ConcurrentBuildersKeepOneNodePerStructure) {
   // Four threads build structures from one small vocabulary, so they race

@@ -35,9 +35,12 @@
 #include "qmap/expr/query.h"
 #include "qmap/rules/function_registry.h"
 #include "qmap/rules/spec_parser.h"
+#include "test_util.h"
 
 namespace qmap {
 namespace {
+
+using testing::InternToggle;
 
 std::vector<uint32_t> HarnessSeeds() {
   if (const char* env = std::getenv("QMAP_SUBSUMPTION_SEED")) {
@@ -45,20 +48,6 @@ std::vector<uint32_t> HarnessSeeds() {
   }
   return {101, 202, 303};
 }
-
-/// RAII override of the interning toggle (restores the prior setting).
-class InternToggle {
- public:
-  explicit InternToggle(bool enabled) : prior_(QueryInternEnabled()) {
-    SetQueryInternEnabled(enabled);
-  }
-  ~InternToggle() { SetQueryInternEnabled(prior_); }
-  InternToggle(const InternToggle&) = delete;
-  InternToggle& operator=(const InternToggle&) = delete;
-
- private:
-  bool prior_;
-};
 
 // One random query, as text and as the direct build of that text.
 struct Twin {
@@ -339,6 +328,48 @@ TEST(ParserOracle, ParseMatchesTheDirectBuildWithInterningOff) {
       EXPECT_EQ(ToParseableText(*parsed), ToParseableText(twin.query));
       EXPECT_TRUE(parsed->StructurallyEquals(twin.query));
     }
+  }
+}
+
+TEST(ParserOracle, MemoAnswersWithTheNodeOfTheFirstParse) {
+  // Each text is parsed three times in a row: the first parse marks its memo
+  // slot, the second admits it, and the memo answers the third without
+  // constructing a node (unless the text is over the memo's size cap). The
+  // answer is the first parse's node, and so is the parse of a whitespace
+  // variant, which the memo cannot answer.
+  InternToggle on(true);
+  for (uint32_t seed : HarnessSeeds()) {
+    std::cout << "[parser-oracle] memo seed=" << seed
+              << " queries=" << kQueriesPerSeed << std::endl;
+    TwinGenerator generator(seed);
+    int answered_texts = 0;
+    for (int i = 0; i < kQueriesPerSeed; ++i) {
+      const Twin twin = generator.Next();
+      const bool memoizable = twin.text.size() <= kParseMemoMaxTextBytes;
+      answered_texts += memoizable ? 1 : 0;
+      Result<Query> first = ParseQuery(twin.text);
+      ASSERT_TRUE(first.ok()) << first.status().ToString()
+                              << "\n  text: " << twin.text;
+      Result<Query> second = ParseQuery(twin.text);
+      const InternStats before = QueryInternStats();
+      Result<Query> answered = ParseQuery(twin.text);
+      const InternStats after = QueryInternStats();
+      Result<Query> variant = ParseQuery("  " + twin.text + "\n");
+      ASSERT_TRUE(second.ok() && answered.ok() && variant.ok()) << twin.text;
+      EXPECT_EQ(after.parse_memo_hits - before.parse_memo_hits,
+                memoizable ? 1u : 0u)
+          << "seed " << seed << " #" << i << "\n  text: " << twin.text;
+      if (memoizable) {
+        EXPECT_EQ(after.query_hits, before.query_hits);
+        EXPECT_EQ(after.query_misses, before.query_misses);
+      }
+      EXPECT_EQ(second->identity(), first->identity());
+      EXPECT_EQ(answered->identity(), first->identity())
+          << "seed " << seed << " #" << i << "\n  text: " << twin.text;
+      EXPECT_EQ(variant->identity(), first->identity());
+      EXPECT_EQ(answered->identity(), twin.query.identity());
+    }
+    EXPECT_GT(answered_texts, kQueriesPerSeed / 2);
   }
 }
 

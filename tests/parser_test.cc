@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace qmap {
 namespace {
 
@@ -85,6 +88,53 @@ TEST(Parser, Errors) {
   EXPECT_FALSE(ParseQuery("[a = 1] [b = 2]").ok());  // trailing input
   EXPECT_FALSE(ParseQuery("[a = 1] and").ok());
   EXPECT_FALSE(ParseQuery("[date(1997) = 1]").ok());  // literal on LHS
+}
+
+TEST(Parser, NumberLiteralsThatDoNotFitFailToParse) {
+  // Each literal names a value outside the field it fills: an int64 value,
+  // an int view index, an int date() argument.
+  const struct {
+    const char* text;
+    const char* message;
+  } kCases[] = {
+      {"[a = 99999999999999999999]",
+       "number 99999999999999999999 out of range at offset 5"},
+      {"[a = 9223372036854775808]",
+       "number 9223372036854775808 out of range at offset 5"},
+      {"[fac[4294967297].ln = 1]",
+       "number 4294967297 out of range at offset 5"},
+      {"[d = date(99999999999)]", "number 99999999999 out of range at offset 10"},
+      {"[d = date(1997, 1, -2147483649)]",
+       "number -2147483649 out of range at offset 19"},
+  };
+  for (const auto& c : kCases) {
+    Result<Query> q = ParseQuery(c.text);
+    ASSERT_FALSE(q.ok()) << c.text << " parsed as " << q->ToString();
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << c.text;
+    EXPECT_EQ(q.status().message(), c.message) << c.text;
+  }
+}
+
+TEST(Parser, LargestInRangeNumberLiteralsParseAsBefore) {
+  // 9223372036854774784 is the largest double below 2^63.
+  Result<Constraint> high = ParseConstraint("[a = 9223372036854774784]");
+  ASSERT_TRUE(high.ok());
+  EXPECT_EQ(high->rhs_value().AsInt(), int64_t{9223372036854774784});
+  EXPECT_EQ(high->ToString(), "[a = 9223372036854774784]");
+  Result<Constraint> low = ParseConstraint("[a = -9223372036854775808]");
+  ASSERT_TRUE(low.ok());
+  EXPECT_EQ(low->rhs_value().AsInt(), std::numeric_limits<int64_t>::min());
+
+  Result<Constraint> index = ParseConstraint("[fac[2147483647].ln = 1]");
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->lhs.instance, std::numeric_limits<int>::max());
+
+  Result<Constraint> date =
+      ParseConstraint("[d during date(2147483647, -2147483648, 1)]");
+  ASSERT_TRUE(date.ok());
+  EXPECT_EQ(date->rhs_value().AsDate(),
+            (Date{std::numeric_limits<int>::max(),
+                  std::numeric_limits<int>::min(), 1}));
 }
 
 TEST(Parser, RoundTripThroughToString) {

@@ -86,6 +86,15 @@ TEST(SpecParser, IndexVariables) {
   EXPECT_EQ(p.lhs.name_var, "A");
 }
 
+TEST(SpecParser, RejectsAViewIndexOutsideIntRange) {
+  Result<MappingSpec> spec = ParseMappingSpec(
+      "rule R1: [v[4294967297].a = X] where Value(X) => emit [b = X];", "T",
+      Builtins());
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().message(),
+            "number 4294967297 out of range at offset 12");
+}
+
 TEST(SpecParser, RejectsUnknownCondition) {
   Result<MappingSpec> spec = ParseMappingSpec(
       "rule R: [x = V] where NoSuch(V) => emit [y = V];", "T", Builtins());
