@@ -11,10 +11,15 @@
 // reported as counters (averaged across client threads). The `identical`
 // counter asserts once per process that in-process and remote renders are
 // byte-for-byte equal on the workload — a transport must never change the
-// translation. The remote rows' `rpcs_per_translate` counter pins the round
-// trips: one pass of the workload through a fresh front-end (cache off),
-// WireClient calls per Translate. All four sources live on one worker, so
-// it reads 1 — one call per worker per request, not one per source.
+// translation. Two more counters come from one pass of the workload through
+// a fresh front-end (cache off), after one warm pass:
+// `rpcs_per_translate`, WireClient calls per Translate, pins the round
+// trips — all four sources live on one worker, so it reads 1, one call per
+// worker per request, not one per source; `inline_frac`, the frames the
+// worker answered on its event-loop thread over the frames it got, pins the
+// worker's cache-first path — 1 when its RAM cache holds every answer.
+// RemoteLoopbackUncached runs the same clients against a worker with its
+// cache off, so every frame takes the pool path and `inline_frac` reads 0.
 //
 // WireCall_CatalogRoundTrip isolates the floor: one pooled connection, one
 // tiny request frame, one reply, no translation work.
@@ -95,13 +100,16 @@ qmap::TranslationService& InProcessFrontEnd() {
   return *service;
 }
 
-/// The loopback shard worker every remote benchmark scatters to. Leaked on
+/// A loopback shard worker and the front-end that scatters to it. Leaked on
 /// purpose: benchmark threads may still reference it at static teardown.
 struct RemoteFixture {
   std::shared_ptr<qmap::TranslationService> worker;
   std::unique_ptr<qmap::QmapServer> server;
   std::shared_ptr<qmap::WireClient> client;
   std::unique_ptr<qmap::TranslationService> frontend;
+  /// 1 iff `frontend` renders byte-identically to the in-process front-end
+  /// on every workload query.
+  double identical = 0;
 };
 
 /// A cache-off front-end with every source of `worker` behind a
@@ -118,29 +126,6 @@ std::unique_ptr<qmap::TranslationService> RemoteFrontEnd(
   return frontend;
 }
 
-RemoteFixture& Remote() {
-  static RemoteFixture* fixture = [] {
-    auto* f = new RemoteFixture();
-    qmap::ServiceOptions worker_options;
-    worker_options.num_threads = 2;
-    f->worker = std::make_shared<qmap::TranslationService>(worker_options);
-    for (auto& [name, spec] : Federation()) {
-      f->worker->AddSource(name, spec);
-    }
-    qmap::QmapServerOptions server_options;
-    server_options.poll_interval_ms = 5;
-    f->server = std::make_unique<qmap::QmapServer>(server_options);
-    f->server->SetService(f->worker);
-    if (!f->server->Start().ok()) std::abort();
-    const std::string endpoint =
-        "127.0.0.1:" + std::to_string(f->server->port());
-    f->client = std::make_shared<qmap::WireClient>();
-    f->frontend = RemoteFrontEnd(*f->worker, endpoint, f->client);
-    return f;
-  }();
-  return *fixture;
-}
-
 std::string Render(const qmap::MediatorTranslation& t) {
   std::string out;
   for (const auto& [name, translation] : t.per_source) {
@@ -151,37 +136,82 @@ std::string Render(const qmap::MediatorTranslation& t) {
   return out;
 }
 
-// 1 iff the remote front-end renders byte-identically to the in-process one
-// on every workload query (checked once; the result is cached).
-double TransportsIdentical() {
-  static const double identical = [] {
-    for (const qmap::Query& q : Workload()) {
-      auto a = InProcessFrontEnd().Translate(q);
-      auto b = Remote().frontend->Translate(q);
-      if (!a.ok() || !b.ok() || Render(*a) != Render(*b)) return 0.0;
-    }
-    return 1.0;
-  }();
-  return identical;
+// 1 iff `remote` renders byte-identically to the in-process front-end on
+// every workload query.
+double TransportsIdentical(const qmap::TranslationService& remote) {
+  for (const qmap::Query& q : Workload()) {
+    auto a = InProcessFrontEnd().Translate(q);
+    auto b = remote.Translate(q);
+    if (!a.ok() || !b.ok() || Render(*a) != Render(*b)) return 0.0;
+  }
+  return 1.0;
 }
 
-// WireClient calls per Translate over one pass of the workload, through a
-// front-end of its own (cache off) so no other client's calls are counted.
-// Measured once per process; the result is cached.
-double RpcsPerTranslate() {
-  static const double rpcs = [] {
-    const std::string endpoint =
-        "127.0.0.1:" + std::to_string(Remote().server->port());
-    auto client = std::make_shared<qmap::WireClient>();
-    auto frontend = RemoteFrontEnd(*Remote().worker, endpoint, client);
-    const std::vector<qmap::Query> workload = Workload();
+RemoteFixture* MakeRemote(bool worker_cache) {
+  auto* f = new RemoteFixture();
+  qmap::ServiceOptions worker_options;
+  worker_options.num_threads = 2;
+  worker_options.enable_cache = worker_cache;
+  f->worker = std::make_shared<qmap::TranslationService>(worker_options);
+  for (auto& [name, spec] : Federation()) {
+    f->worker->AddSource(name, spec);
+  }
+  qmap::QmapServerOptions server_options;
+  server_options.poll_interval_ms = 5;
+  f->server = std::make_unique<qmap::QmapServer>(server_options);
+  f->server->SetService(f->worker);
+  if (!f->server->Start().ok()) std::abort();
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(f->server->port());
+  f->client = std::make_shared<qmap::WireClient>();
+  f->frontend = RemoteFrontEnd(*f->worker, endpoint, f->client);
+  f->identical = TransportsIdentical(*f->frontend);
+  return f;
+}
+
+RemoteFixture& Remote() {
+  static RemoteFixture* fixture = MakeRemote(/*worker_cache=*/true);
+  return *fixture;
+}
+
+RemoteFixture& RemoteUncached() {
+  static RemoteFixture* fixture = MakeRemote(/*worker_cache=*/false);
+  return *fixture;
+}
+
+// The wire counters of one pass of the workload, through a front-end of its
+// own (cache off) so no other client's calls are counted, after one warm
+// pass.
+struct PassCounters {
+  double rpcs_per_translate = 0;  // WireClient calls per Translate
+  double inline_frac = 0;  // frames the worker answered on its loop thread
+};
+
+PassCounters MeasurePass(const RemoteFixture& fixture) {
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(fixture.server->port());
+  auto client = std::make_shared<qmap::WireClient>();
+  auto frontend = RemoteFrontEnd(*fixture.worker, endpoint, client);
+  const std::vector<qmap::Query> workload = Workload();
+  const auto pass = [&] {
     for (const qmap::Query& q : workload) {
-      if (!frontend->Translate(q).ok()) return 0.0;
+      if (!frontend->Translate(q).ok()) return false;
     }
-    return static_cast<double>(client->stats().calls) /
-           static_cast<double>(workload.size());
-  }();
-  return rpcs;
+    return true;
+  };
+  if (!pass()) return {};
+  const uint64_t calls_before = client->stats().calls;
+  const qmap::QmapServerStats before = fixture.server->stats();
+  if (!pass()) return {};
+  const qmap::QmapServerStats after = fixture.server->stats();
+  PassCounters out;
+  out.rpcs_per_translate =
+      static_cast<double>(client->stats().calls - calls_before) /
+      static_cast<double>(workload.size());
+  out.inline_frac =
+      static_cast<double>(after.answered_inline - before.answered_inline) /
+      static_cast<double>(std::max<uint64_t>(1, after.requests - before.requests));
+  return out;
 }
 
 double PercentileUs(std::vector<double>& samples_us, double p) {
@@ -196,7 +226,8 @@ double PercentileUs(std::vector<double>& samples_us, double p) {
 /// Shared timed loop: each benchmark thread is one client hammering the
 /// given front-end; per-call latency is sampled thread-locally and reported
 /// as p50/p99 counters averaged across threads.
-void RunClients(benchmark::State& state, qmap::TranslationService& frontend) {
+void RunClients(benchmark::State& state, qmap::TranslationService& frontend,
+                double identical) {
   std::vector<qmap::Query> workload = Workload();
   std::vector<double> samples_us;
   samples_us.reserve(1 << 14);
@@ -218,12 +249,12 @@ void RunClients(benchmark::State& state, qmap::TranslationService& frontend) {
       PercentileUs(samples_us, 0.50), benchmark::Counter::kAvgThreads);
   state.counters["p99_us"] = benchmark::Counter(
       PercentileUs(samples_us, 0.99), benchmark::Counter::kAvgThreads);
-  state.counters["identical"] = benchmark::Counter(
-      TransportsIdentical(), benchmark::Counter::kAvgThreads);
+  state.counters["identical"] =
+      benchmark::Counter(identical, benchmark::Counter::kAvgThreads);
 }
 
 void FederatedTranslate_InProcess(benchmark::State& state) {
-  RunClients(state, InProcessFrontEnd());
+  RunClients(state, InProcessFrontEnd(), Remote().identical);
 }
 BENCHMARK(FederatedTranslate_InProcess)
     ->Threads(1)
@@ -231,16 +262,32 @@ BENCHMARK(FederatedTranslate_InProcess)
     ->Threads(64)
     ->UseRealTime();
 
-void FederatedTranslate_RemoteLoopback(benchmark::State& state) {
-  RunClients(state, *Remote().frontend);
+void ReportPass(benchmark::State& state, const PassCounters& pass) {
   state.counters["rpcs_per_translate"] = benchmark::Counter(
-      RpcsPerTranslate(), benchmark::Counter::kAvgThreads);
+      pass.rpcs_per_translate, benchmark::Counter::kAvgThreads);
+  state.counters["inline_frac"] =
+      benchmark::Counter(pass.inline_frac, benchmark::Counter::kAvgThreads);
+}
+
+void FederatedTranslate_RemoteLoopback(benchmark::State& state) {
+  static const PassCounters pass = MeasurePass(Remote());
+  RunClients(state, *Remote().frontend, Remote().identical);
+  ReportPass(state, pass);
 }
 BENCHMARK(FederatedTranslate_RemoteLoopback)
     ->Threads(1)
     ->Threads(8)
     ->Threads(64)
     ->UseRealTime();
+
+// The miss path: the worker's cache is off, so each frame goes to its pool
+// and each source is translated on every call.
+void FederatedTranslate_RemoteLoopbackUncached(benchmark::State& state) {
+  static const PassCounters pass = MeasurePass(RemoteUncached());
+  RunClients(state, *RemoteUncached().frontend, RemoteUncached().identical);
+  ReportPass(state, pass);
+}
+BENCHMARK(FederatedTranslate_RemoteLoopbackUncached)->Threads(1)->UseRealTime();
 
 // The wire floor: one pooled connection, one 20-byte-header frame each way,
 // no translation work behind it.

@@ -23,8 +23,12 @@
 //                             once, so inserts also sweep.
 //   ParseMappingSpec        — the rule DSL of synthetic specs like the
 //                             e2e sources'.
-//   DecodeTranslateResponse — one 7-source wire response whose translations
-//                             are all held, decoded over and over, so after
+//   EncodeTranslateResponse — one 7-source wire response, encoded over and
+//                             over, as a worker answering from its cache
+//                             renders each reply: the translations' texts
+//                             are rendered straight into the payload.
+//   DecodeTranslateResponse — the same response, its translations all
+//                             held, decoded over and over, so after
 //                             the first two decodes the memo answers each
 //                             of its texts, as on a front-end that keeps
 //                             receiving the same answers.
@@ -269,9 +273,9 @@ void ParseMappingSpec(benchmark::State& state) {
 }
 BENCHMARK(ParseMappingSpec);
 
-void DecodeTranslateResponse(benchmark::State& state) {
-  // Seven synthetic sources translate one hot-shaped query; their answers
-  // travel in one response, as a worker serving all seven sends them.
+// Seven synthetic sources' answers to one hot-shaped query, in one
+// response, as a worker serving all seven sends them.
+qmap::TranslateResponse HotShapedResponse() {
   const std::vector<std::vector<std::pair<int, int>>> source_pairs = {
       {}, {{0, 1}}, {{2, 3}}, {{4, 5}}, {{0, 2}}, {{4, 6}}, {{1, 3}, {5, 7}}};
   const qmap::Query query = Parse(HotTexts()[3]);
@@ -290,7 +294,26 @@ void DecodeTranslateResponse(benchmark::State& state) {
     reply.ok = true;
     reply.value = *std::move(translation);
   }
-  const std::string payload = qmap::EncodeTranslateResponse(response);
+  return response;
+}
+
+void EncodeTranslateResponse(benchmark::State& state) {
+  const qmap::TranslateResponse response = HotShapedResponse();
+  size_t bytes = 0;
+  const uint64_t allocs_before = qmap_bench::AllocCount();
+  for (auto _ : state) {
+    std::string payload = qmap::EncodeTranslateResponse(response);
+    bytes = payload.size();
+    benchmark::DoNotOptimize(payload);
+  }
+  ReportAllocs(state, allocs_before);
+  state.counters["payload_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(EncodeTranslateResponse);
+
+void DecodeTranslateResponse(benchmark::State& state) {
+  const std::string payload =
+      qmap::EncodeTranslateResponse(HotShapedResponse());
   const qmap::Result<qmap::TranslateResponse> held =
       qmap::DecodeTranslateResponse(payload);
   if (!held.ok()) std::abort();

@@ -87,6 +87,7 @@ class Result {
 
   const T& operator*() const& { return *value_; }
   T& operator*() & { return *value_; }
+  T&& operator*() && { return *std::move(value_); }
   const T* operator->() const { return &*value_; }
   T* operator->() { return &*value_; }
 

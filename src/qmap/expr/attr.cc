@@ -57,9 +57,22 @@ Result<Attr> Attr::Parse(std::string_view text) {
 }
 
 std::string Attr::ToString() const {
-  if (view.empty()) return name;
-  if (instance == 0) return view + "." + name;
-  return view + "[" + std::to_string(instance) + "]." + name;
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Attr::AppendTo(std::string* out) const {
+  if (!view.empty()) {
+    out->append(view);
+    if (instance != 0) {
+      out->push_back('[');
+      out->append(std::to_string(instance));
+      out->push_back(']');
+    }
+    out->push_back('.');
+  }
+  out->append(name);
 }
 
 uint64_t Attr::CanonicalHash() const {

@@ -38,6 +38,8 @@ struct Attr {
 
   /// Canonical rendering: `fac[1].ln`, `fac.ln`, or `ln`.
   std::string ToString() const;
+  /// Appends ToString() to `*out`, building no temporary string.
+  void AppendTo(std::string* out) const;
 
   /// FNV-1a 64 over the exact bytes of ToString(), computed without
   /// materializing the string. Feeds constraint/query fingerprints.

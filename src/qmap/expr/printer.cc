@@ -1,94 +1,148 @@
 #include "qmap/expr/printer.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace qmap {
 namespace {
 
-std::string NumberText(double v) {
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+// Appends `v` in decimal, as printf's %lld would.
+void AppendInt(int64_t v, std::string* out) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
 }
 
-std::string EscapeString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+// Integral values below 1e15 as integers, everything else as printf's %.17g
+// would (std::to_chars' general format is specified to match it).
+void AppendNumber(double v, std::string* out) {
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    AppendInt(static_cast<int64_t>(v), out);
+    return;
   }
-  out.push_back('"');
-  return out;
+  char buf[32];
+  const char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17)
+          .ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+// `head` (a function name and its open paren), then `a, b)`: the text of a
+// range or a point.
+void AppendPair(const char* head, double a, double b, std::string* out) {
+  out->append(head);
+  AppendNumber(a, out);
+  out->append(", ");
+  AppendNumber(b, out);
+  out->push_back(')');
+}
+
+void AppendEscaped(const std::string& s, std::string* out) {
+  out->push_back('"');
+  for (char c : s) {
+    if (c == '"' || c == '\\') out->push_back('\\');
+    out->push_back(c);
+  }
+  out->push_back('"');
+}
+
+void AppendValue(const Value& value, std::string* out) {
+  switch (value.kind()) {
+    case ValueKind::kNull:
+      out->append("null");  // cannot appear in parseable constraints
+      return;
+    case ValueKind::kInt:
+      AppendInt(value.AsInt(), out);
+      return;
+    case ValueKind::kDouble:
+      AppendNumber(value.AsDouble(), out);
+      return;
+    case ValueKind::kString:
+      AppendEscaped(value.AsString(), out);
+      return;
+    case ValueKind::kDate: {
+      const Date& d = value.AsDate();
+      out->append("date(");
+      AppendInt(d.year, out);
+      if (d.month.has_value()) {
+        out->append(", ");
+        AppendInt(*d.month, out);
+      }
+      if (d.day.has_value()) {
+        out->append(", ");
+        AppendInt(*d.day, out);
+      }
+      out->push_back(')');
+      return;
+    }
+    case ValueKind::kRange:
+      AppendPair("range(", value.AsRange().lo, value.AsRange().hi, out);
+      return;
+    case ValueKind::kPoint:
+      AppendPair("point(", value.AsPoint().x, value.AsPoint().y, out);
+      return;
+  }
+  out->append("null");
+}
+
+void AppendConstraint(const Constraint& constraint, std::string* out) {
+  out->push_back('[');
+  constraint.lhs.AppendTo(out);
+  out->push_back(' ');
+  out->append(OpName(constraint.op));
+  out->push_back(' ');
+  if (constraint.is_join()) {
+    constraint.rhs_attr().AppendTo(out);
+  } else {
+    AppendValue(constraint.rhs_value(), out);
+  }
+  out->push_back(']');
 }
 
 }  // namespace
 
-std::string ToParseableText(const Value& value) {
-  switch (value.kind()) {
-    case ValueKind::kNull:
-      return "null";  // cannot appear in parseable constraints
-    case ValueKind::kInt:
-      return std::to_string(value.AsInt());
-    case ValueKind::kDouble:
-      return NumberText(value.AsDouble());
-    case ValueKind::kString:
-      return EscapeString(value.AsString());
-    case ValueKind::kDate: {
-      const Date& d = value.AsDate();
-      std::string out = "date(" + std::to_string(d.year);
-      if (d.month.has_value()) out += ", " + std::to_string(*d.month);
-      if (d.day.has_value()) out += ", " + std::to_string(*d.day);
-      return out + ")";
-    }
-    case ValueKind::kRange: {
-      const Range& r = value.AsRange();
-      return "range(" + NumberText(r.lo) + ", " + NumberText(r.hi) + ")";
-    }
-    case ValueKind::kPoint: {
-      const Point& p = value.AsPoint();
-      return "point(" + NumberText(p.x) + ", " + NumberText(p.y) + ")";
-    }
-  }
-  return "null";
-}
-
-std::string ToParseableText(const Constraint& constraint) {
-  std::string rhs = constraint.is_join()
-                        ? constraint.rhs_attr().ToString()
-                        : ToParseableText(constraint.rhs_value());
-  return "[" + constraint.lhs.ToString() + " " + std::string(OpName(constraint.op)) +
-         " " + rhs + "]";
-}
-
-std::string ToParseableText(const Query& query) {
+void AppendParseableText(const Query& query, std::string* out) {
   switch (query.kind()) {
     case NodeKind::kTrue:
-      return "true";
+      out->append("true");
+      return;
     case NodeKind::kLeaf:
-      return ToParseableText(query.constraint());
+      AppendConstraint(query.constraint(), out);
+      return;
     case NodeKind::kAnd:
     case NodeKind::kOr: {
       const char* sep = query.kind() == NodeKind::kAnd ? " and " : " or ";
-      std::string out;
       for (size_t i = 0; i < query.children().size(); ++i) {
-        if (i > 0) out += sep;
+        if (i > 0) out->append(sep);
         const Query& child = query.children()[i];
         bool parens =
             child.kind() == NodeKind::kAnd || child.kind() == NodeKind::kOr;
-        if (parens) out += "(";
-        out += ToParseableText(child);
-        if (parens) out += ")";
+        if (parens) out->push_back('(');
+        AppendParseableText(child, out);
+        if (parens) out->push_back(')');
       }
-      return out;
+      return;
     }
   }
-  return "true";
+  out->append("true");
+}
+
+std::string ToParseableText(const Query& query) {
+  std::string out;
+  AppendParseableText(query, &out);
+  return out;
+}
+
+std::string ToParseableText(const Constraint& constraint) {
+  std::string out;
+  AppendConstraint(constraint, &out);
+  return out;
+}
+
+std::string ToParseableText(const Value& value) {
+  std::string out;
+  AppendValue(value, &out);
+  return out;
 }
 
 }  // namespace qmap

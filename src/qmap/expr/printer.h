@@ -14,6 +14,10 @@ namespace qmap {
 /// ParseQuery(ToParseableText(q)) == q for every normalized query.
 std::string ToParseableText(const Query& query);
 
+/// Appends ToParseableText(query) to `*out`: the one renderer, building no
+/// temporary strings, so a caller encoding a message renders in place.
+void AppendParseableText(const Query& query, std::string* out);
+
 /// Same for a single constraint.
 std::string ToParseableText(const Constraint& constraint);
 

@@ -60,7 +60,9 @@ class PartialResultGather {
  public:
   /// `resilience` may be null: then no failure is droppable.
   PartialResultGather(ResilienceManager* resilience, size_t num_sources)
-      : resilience_(resilience), num_sources_(num_sources) {}
+      : resilience_(resilience), num_sources_(num_sources) {
+    coverages_.reserve(num_sources);
+  }
   // coverages_ points into out_.per_source: a copy would alias the original.
   PartialResultGather(const PartialResultGather&) = delete;
   PartialResultGather& operator=(const PartialResultGather&) = delete;

@@ -110,8 +110,9 @@ void EventLoop::CloseConn(size_t index, bool flushed) {
 }
 
 void EventLoop::Run() {
+  std::vector<pollfd>& fds = fds_;
   while (!stop_.load(std::memory_order_acquire)) {
-    std::vector<pollfd> fds;
+    fds.clear();
     fds.push_back({wake_fd_[0], POLLIN, 0});
     bool room =
         conns_.size() < static_cast<size_t>(options_.max_connections < 0

@@ -1,6 +1,8 @@
 #ifndef QMAP_NET_EVENT_LOOP_H_
 #define QMAP_NET_EVENT_LOOP_H_
 
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -195,6 +197,8 @@ class EventLoop {
 
   std::vector<std::unique_ptr<Conn>> conns_;
   uint64_t next_conn_id_ = 1;
+  /// Run's poll set, rebuilt in place every tick (loop thread only).
+  std::vector<pollfd> fds_;
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejected_{0};

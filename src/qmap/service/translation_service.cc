@@ -769,80 +769,96 @@ std::vector<Result<Translation>> TranslationService::TranslateSources(
     std::span<const std::string_view> names, const Query& full,
     uint32_t deadline_ms) const {
   WarmUpFromStoreOnce();
-  // One budget covers every listed source: the caller's remaining budget
-  // narrows the service's own request deadline (if any) — budget
-  // propagation across the wire works exactly like propagation down the
-  // local call tree.
-  CancelToken token;
-  const CancelToken* cancel = MakeRequestToken(&token);
-  if (deadline_ms > 0) {
-    ResilienceClock* clock = options_.clock != nullptr
-                                 ? options_.clock
-                                 : &DefaultResilienceClock();
-    token.budget = token.budget.Narrowed(
-        clock->NowUs(), static_cast<uint64_t>(deadline_ms) * 1000);
-    cancel = &token;
-  }
+  return FinishSources(ProbeSources(names, full), names, full, deadline_ms);
+}
+
+TranslationService::SourceProbe TranslationService::ProbeSources(
+    std::span<const std::string_view> names, const Query& full) const {
   const size_t n = sources_.size();
-  std::vector<std::optional<Result<Translation>>> outcomes(n);
-  std::vector<ResilienceManager::CallReport> reports(n);
-  // Per listed name: its source's index, or n for an unknown name; and per
-  // source, the last listing that names it.
-  std::vector<size_t> listed(names.size(), n);
-  std::vector<size_t> last_listing(n);
-  std::vector<size_t> misses;  // distinct sources the cache did not answer
+  SourceProbe probe;
+  probe.outcomes.resize(n);
+  probe.listed.assign(names.size(), n);
   for (size_t k = 0; k < names.size(); ++k) {
     auto pos = std::lower_bound(
         sources_.begin(), sources_.end(), names[k],
         [](const SourceEntry& a, std::string_view b) { return a.name < b; });
     if (pos == sources_.end() || pos->name != names[k]) continue;
     const size_t i = static_cast<size_t>(pos - sources_.begin());
-    listed[k] = i;
-    last_listing[i] = k;
-    if (outcomes[i].has_value() ||
-        std::find(misses.begin(), misses.end(), i) != misses.end()) {
+    probe.listed[k] = i;
+    if (probe.outcomes[i].has_value() ||
+        std::find(probe.misses.begin(), probe.misses.end(), i) !=
+            probe.misses.end()) {
       continue;  // listed before
     }
     if (std::optional<Translation> hit = LookupCached(
             sources_[i], full, /*trace=*/nullptr, /*parent_span=*/0)) {
-      outcomes[i].emplace(*std::move(hit));
+      probe.outcomes[i].emplace(*std::move(hit));
     } else {
-      misses.push_back(i);
+      probe.misses.push_back(i);
     }
   }
-  // Each miss is a local source's unit of work. No memo scope: each is one
-  // source translating one query, which the Translator's own per-call memo
-  // covers exactly as well.
-  const auto translate = [&](size_t m) {
-    TranslateUnit(std::span(&misses[m], 1), full, /*trace=*/nullptr,
-                  /*parent_span=*/0, /*memos=*/{}, cancel, outcomes, reports);
-  };
-  if (pool_ != nullptr && misses.size() > 1) {
-    // The calling thread translates the first miss itself while the pool
-    // takes the rest; it always waits for them, since they write into this
-    // frame's `outcomes`.
-    std::latch done(static_cast<ptrdiff_t>(misses.size() - 1));
-    for (size_t m = 1; m < misses.size(); ++m) {
-      pool_->Submit([&translate, &done, m] {
-        translate(m);
-        done.count_down();
-      });
+  return probe;
+}
+
+std::vector<Result<Translation>> TranslationService::FinishSources(
+    SourceProbe probe, std::span<const std::string_view> names,
+    const Query& full, uint32_t deadline_ms) const {
+  const std::vector<size_t>& misses = probe.misses;
+  auto& outcomes = probe.outcomes;
+  if (!misses.empty()) {
+    WarmUpFromStoreOnce();
+    // One budget covers every listed source: the caller's remaining budget
+    // narrows the service's own request deadline (if any) — budget
+    // propagation across the wire works exactly like propagation down the
+    // local call tree.
+    CancelToken token;
+    const CancelToken* cancel = MakeRequestToken(&token);
+    if (deadline_ms > 0) {
+      ResilienceClock* clock = options_.clock != nullptr
+                                   ? options_.clock
+                                   : &DefaultResilienceClock();
+      token.budget = token.budget.Narrowed(
+          clock->NowUs(), static_cast<uint64_t>(deadline_ms) * 1000);
+      cancel = &token;
     }
-    translate(0);
-    done.wait();
-  } else {
-    for (size_t m = 0; m < misses.size(); ++m) translate(m);
+    std::vector<ResilienceManager::CallReport> reports(sources_.size());
+    // Each miss is a local source's unit of work. No memo scope: each is one
+    // source translating one query, which the Translator's own per-call memo
+    // covers exactly as well.
+    const auto translate = [&](size_t m) {
+      TranslateUnit(std::span(&misses[m], 1), full, /*trace=*/nullptr,
+                    /*parent_span=*/0, /*memos=*/{}, cancel, outcomes,
+                    reports);
+    };
+    if (pool_ != nullptr && misses.size() > 1) {
+      // The calling thread translates the first miss itself while the pool
+      // takes the rest; it always waits for them, since they write into this
+      // frame's `outcomes`.
+      std::latch done(static_cast<ptrdiff_t>(misses.size() - 1));
+      for (size_t m = 1; m < misses.size(); ++m) {
+        pool_->Submit([&translate, &done, m] {
+          translate(m);
+          done.count_down();
+        });
+      }
+      translate(0);
+      done.wait();
+    } else {
+      for (size_t m = 0; m < misses.size(); ++m) translate(m);
+    }
   }
 
+  const size_t n = sources_.size();
   std::vector<Result<Translation>> out;
   out.reserve(names.size());
   for (size_t k = 0; k < names.size(); ++k) {
-    const size_t i = listed[k];
+    const size_t i = probe.listed[k];
     if (i == n) {
       out.push_back(
           Status::NotFound("unknown source: " + std::string(names[k])));
-    } else if (last_listing[i] == k) {
-      out.push_back(*std::move(outcomes[i]));
+    } else if (std::find(probe.listed.begin() + k + 1, probe.listed.end(),
+                         i) == probe.listed.end()) {
+      out.push_back(*std::move(outcomes[i]));  // its last listing
     } else {
       out.push_back(*outcomes[i]);  // a source listed twice is answered twice
     }

@@ -338,6 +338,34 @@ class TranslationService {
       std::span<const std::string_view> names, const Query& full,
       uint32_t deadline_ms = 0) const;
 
+  /// TranslateSources in two halves, split after the RAM-cache probe, so a
+  /// wire server can answer an all-hit frame on its event-loop thread and
+  /// hand only the rest to its pool. TranslateSources is the store warm-up,
+  /// then FinishSources(ProbeSources(...)).
+  struct SourceProbe {
+    /// Per source, in sources_ order: the cache's answer, if it had one.
+    std::vector<std::optional<Result<Translation>>> outcomes;
+    /// Per listed name: its source's index, or num_sources() for an unknown
+    /// name (answered NotFound).
+    std::vector<size_t> listed;
+    /// The distinct listed sources the cache did not answer.
+    std::vector<size_t> misses;
+  };
+
+  /// Resolves each name and probes each distinct listed source's RAM cache
+  /// once. Runs nothing else: no store lookup, warm-up, resilience guard or
+  /// translation, so any thread may call it.
+  SourceProbe ProbeSources(std::span<const std::string_view> names,
+                           const Query& full) const;
+
+  /// Everything after the probe, for the same `names` and `full`: with no
+  /// misses, only the assembly of one result per name; otherwise the store
+  /// warm-up, the store tier and the translation of each miss (the calling
+  /// thread one, the pool the rest) under `deadline_ms`.
+  std::vector<Result<Translation>> FinishSources(
+      SourceProbe probe, std::span<const std::string_view> names,
+      const Query& full, uint32_t deadline_ms = 0) const;
+
   /// The one-source case of TranslateSources.
   Result<Translation> TranslateSource(std::string_view name, const Query& full,
                                       uint32_t deadline_ms = 0) const;

@@ -77,9 +77,25 @@ bool PayloadReader::ReadStr(std::string_view* out) {
   return true;
 }
 
+namespace {
+
+// PutStr of the query's parseable text, rendered in place: a zero length
+// goes out first and is patched once the text's size is known.
+void PutQueryText(std::string* out, const Query& query) {
+  const size_t prefix = out->size();
+  PutU32(out, 0);
+  AppendParseableText(query, out);
+  const auto length = static_cast<uint32_t>(out->size() - prefix - 4);
+  for (int i = 0; i < 4; ++i) {
+    (*out)[prefix + i] = static_cast<char>(length >> (8 * i));
+  }
+}
+
+}  // namespace
+
 void EncodeTranslationBody(std::string* out, const Translation& value) {
-  PutStr(out, ToParseableText(value.mapped));
-  PutStr(out, ToParseableText(value.filter));
+  PutQueryText(out, value.mapped);
+  PutQueryText(out, value.filter);
   const auto& entries = value.coverage.Entries();
   PutU32(out, static_cast<uint32_t>(entries.size()));
   for (const auto& [fp, exact] : entries) {

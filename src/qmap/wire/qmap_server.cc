@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "qmap/expr/parser.h"
 #include "qmap/obs/metrics.h"
@@ -82,6 +84,7 @@ QmapServerStats QmapServer::stats() const {
   out.malformed_frames = malformed_frames_.load(std::memory_order_relaxed);
   out.catalog_requests = catalog_requests_.load(std::memory_order_relaxed);
   out.reloads = reloads_.load(std::memory_order_relaxed);
+  out.answered_inline = answered_inline_.load(std::memory_order_relaxed);
   out.net = loop_.stats();
   if (options_.metrics != nullptr) {
     MetricsRegistry* metrics = options_.metrics;
@@ -110,6 +113,13 @@ QmapServerStats QmapServer::stats() const {
                 "Translate frames decoded by the wire server; one frame "
                 "carries one or more sources.")
         .Set(static_cast<int64_t>(out.requests));
+    metrics
+        ->gauge("qmap_rpc_answered_inline_total",
+                "Translate frames answered on the wire server's event-loop "
+                "thread, with no pool round trip: every listed source a "
+                "RAM-cache hit, the query failed to parse, or no service "
+                "was loaded.")
+        .Set(static_cast<int64_t>(out.answered_inline));
     metrics
         ->gauge("qmap_rpc_rejected_overload_total",
                 "Frames rejected by admission control (max in-flight).")
@@ -191,8 +201,8 @@ void QmapServer::OnData(Conn& conn) {
     conn.in().erase(0, frame_len);
     if (state->pending >= options_.max_pending_per_conn) {
       // Backpressure: further buffered frames stay unparsed and further
-      // bytes stay in the kernel until responses drain (the completion
-      // path resumes reads and re-enters OnData).
+      // bytes stay in the kernel until a pooled frame is answered (its
+      // completion resumes reads and re-enters OnData).
       conn.PauseReads();
       return;
     }
@@ -224,6 +234,35 @@ TranslateResponse FailedResponse(const TranslateRequest& request,
   return response;
 }
 
+// The response carrying one result per source `request` lists, in order.
+TranslateResponse AnsweredResponse(const TranslateRequest& request,
+                                   std::vector<Result<Translation>> results) {
+  TranslateResponse response;
+  response.request_id = request.request_id;
+  response.further.resize(request.further_sources.size());
+  for (size_t k = 0; k < results.size(); ++k) {
+    SourceReply& reply = k == 0 ? response : response.further[k - 1];
+    reply.ok = results[k].ok();
+    if (reply.ok) {
+      reply.value = *std::move(results[k]);
+    } else {
+      reply.failure = results[k].status();
+    }
+  }
+  return response;
+}
+
+// The sources `request` lists, first source first. The views point into
+// `request`.
+std::vector<std::string_view> ListedSources(const TranslateRequest& request) {
+  std::vector<std::string_view> names;
+  names.reserve(1 + request.further_sources.size());
+  names.push_back(request.source);
+  names.insert(names.end(), request.further_sources.begin(),
+               request.further_sources.end());
+  return names;
+}
+
 }  // namespace
 
 void QmapServer::RejectTranslate(Conn& conn, const TranslateRequest& request,
@@ -232,6 +271,15 @@ void QmapServer::RejectTranslate(Conn& conn, const TranslateRequest& request,
                              std::memory_order_relaxed);
   Reply(conn, FrameType::kTranslateResponse,
         EncodeTranslateResponse(FailedResponse(request, failure)));
+}
+
+std::string QmapServer::EncodeCounted(const TranslateResponse& response) {
+  uint64_t ok = response.ok ? 1 : 0;
+  for (const SourceReply& reply : response.further) ok += reply.ok ? 1 : 0;
+  responses_ok_.fetch_add(ok, std::memory_order_relaxed);
+  responses_error_.fetch_add(1 + response.further.size() - ok,
+                             std::memory_order_relaxed);
+  return EncodeTranslateResponse(response);
 }
 
 void QmapServer::HandleTranslate(Conn& conn, std::string_view payload) {
@@ -245,7 +293,8 @@ void QmapServer::HandleTranslate(Conn& conn, std::string_view payload) {
     conn.Abort();
     return;
   }
-  // Quota and admission count a frame once, however many sources it lists.
+  // Quota and admission count a frame once, however many sources it lists,
+  // and shed it before its query is parsed.
   if (options_.quota_tokens_per_sec > 0 && !TakeQuotaToken(*state)) {
     rejected_quota_.fetch_add(1, std::memory_order_relaxed);
     RejectTranslate(conn, *request,
@@ -263,45 +312,63 @@ void QmapServer::HandleTranslate(Conn& conn, std::string_view payload) {
                         " requests in flight)"));
     return;
   }
+
+  // Cache-first: each S_i(Q) depends only on Q and source i's rules, so a
+  // frame whose every source the RAM cache holds is answered here, on the
+  // loop thread, with no pool round trip. The loop parses a text only up to
+  // the parse memo's bound and runs no store, translation or guard.
+  std::shared_ptr<TranslationService> service = this->service();
+  std::optional<Query> query;
+  TranslationService::SourceProbe probe;
+  const auto answer_inline = [&](const TranslateResponse& response) {
+    answered_inline_.fetch_add(1, std::memory_order_relaxed);
+    Reply(conn, FrameType::kTranslateResponse, EncodeCounted(response));
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  };
+  if (service == nullptr) {
+    answer_inline(FailedResponse(
+        *request, Status::Unavailable("qmap server: no service loaded")));
+    return;
+  }
+  if (request->query_text.size() <= kParseMemoMaxTextBytes) {
+    Result<Query> parsed = ParseQuery(request->query_text);
+    if (!parsed.ok()) {
+      answer_inline(FailedResponse(*request, parsed.status()));
+      return;
+    }
+    const std::vector<std::string_view> names = ListedSources(*request);
+    probe = service->ProbeSources(names, *parsed);
+    if (probe.misses.empty()) {
+      answer_inline(AnsweredResponse(
+          *request, service->FinishSources(std::move(probe), names, *parsed)));
+      return;
+    }
+    query = *std::move(parsed);
+  }
+
+  // The rest goes to the pool as one task per frame, carrying the parsed
+  // query and the probe's outcomes: no source is parsed or probed twice.
   state->pending += 1;
   const uint64_t conn_id = conn.id();
-  // One pool task per frame: the query is parsed once for all its sources.
-  pool_.Submit([this, conn_id, request = *std::move(request)] {
-    std::shared_ptr<TranslationService> service = this->service();
+  pool_.Submit([this, conn_id, service = std::move(service),
+                request = *std::move(request), query = std::move(query),
+                probe = std::move(probe)]() mutable {
+    const std::vector<std::string_view> names = ListedSources(request);
     TranslateResponse response;
-    Result<Query> query =
-        service != nullptr ? ParseQuery(request.query_text)
-                           : Result<Query>(Status::Unavailable(
-                                 "qmap server: no service loaded"));
-    if (!query.ok()) {
-      response = FailedResponse(request, query.status());
+    if (query.has_value()) {
+      response = AnsweredResponse(
+          request, service->FinishSources(std::move(probe), names, *query,
+                                          request.deadline_ms));
     } else {
-      std::vector<std::string_view> names;
-      names.reserve(1 + request.further_sources.size());
-      names.push_back(request.source);
-      names.insert(names.end(), request.further_sources.begin(),
-                   request.further_sources.end());
-      std::vector<Result<Translation>> results =
-          service->TranslateSources(names, *query, request.deadline_ms);
-      response.request_id = request.request_id;
-      response.further.resize(request.further_sources.size());
-      for (size_t k = 0; k < results.size(); ++k) {
-        SourceReply& reply = k == 0 ? response : response.further[k - 1];
-        reply.ok = results[k].ok();
-        if (reply.ok) {
-          reply.value = *std::move(results[k]);
-        } else {
-          reply.failure = results[k].status();
-        }
-      }
+      Result<Query> parsed = ParseQuery(request.query_text);
+      response = parsed.ok()
+                     ? AnsweredResponse(
+                           request, service->TranslateSources(
+                                        names, *parsed, request.deadline_ms))
+                     : FailedResponse(request, parsed.status());
     }
-    uint64_t ok = response.ok ? 1 : 0;
-    for (const SourceReply& reply : response.further) ok += reply.ok ? 1 : 0;
-    responses_ok_.fetch_add(ok, std::memory_order_relaxed);
-    responses_error_.fetch_add(1 + response.further.size() - ok,
-                               std::memory_order_relaxed);
-    std::string frame = EncodeFrame(FrameType::kTranslateResponse,
-                                    EncodeTranslateResponse(response));
+    std::string frame =
+        EncodeFrame(FrameType::kTranslateResponse, EncodeCounted(response));
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     loop_.Post([this, conn_id, frame = std::move(frame)] {
       Conn* conn = loop_.FindConn(conn_id);

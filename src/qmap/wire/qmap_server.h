@@ -32,18 +32,19 @@ struct QmapServerOptions {
   /// A connection idle this long (no request in flight, no bytes arriving)
   /// is dropped.
   int idle_timeout_ms = 30000;
-  /// Admission control: translate frames running or queued on the worker
-  /// pool. A frame arriving at the bound is answered immediately — every
-  /// source it lists with Unavailable — rather than queued without limit.
+  /// Admission control: translate frames being answered, on the loop
+  /// thread or running or queued on the worker pool. A frame arriving at
+  /// the bound is answered immediately — every source it lists with
+  /// Unavailable — rather than queued without limit.
   int max_in_flight = 64;
   /// Per-connection token bucket: sustained translate frames/second (0 = no
   /// quota) with `quota_burst` of headroom. Frames past the bucket are
   /// answered with Unavailable for every listed source, not dropped.
   double quota_tokens_per_sec = 0;
   double quota_burst = 32;
-  /// Backpressure: with this many responses not yet handed to the kernel
-  /// for one connection, its reads pause — the peer's TCP window, not our
-  /// memory, absorbs an unbounded pipeline.
+  /// Backpressure: with this many of one connection's frames on the worker
+  /// pool, its reads pause until one is answered — the peer's TCP window,
+  /// not our memory, absorbs the rest of a pipeline.
   size_t max_pending_per_conn = 4;
   /// Worker threads executing translations (the service may run its own
   /// fan-out pool below this one).
@@ -64,15 +65,31 @@ struct QmapServerStats {
   uint64_t malformed_frames = 0;   // connections dropped on protocol errors
   uint64_t catalog_requests = 0;
   uint64_t reloads = 0;            // SetService swaps after Start
+  /// Translate frames answered on the event-loop thread, with no pool round
+  /// trip: every listed source a RAM-cache hit (or unknown), a query that
+  /// failed to parse, or no service loaded.
+  uint64_t answered_inline = 0;
   EventLoopStats net;
 };
 
 /// The wire-protocol front door of a federation worker (and of a front-end
 /// exposing its merged catalog): length-prefixed translate/catalog frames
-/// over the shared EventLoop, each translate frame — one query, one or more
-/// sources — executed as one task on a worker pool, and
-/// the three overload levers every long-lived server needs — admission
-/// control, per-client quotas, and read backpressure.
+/// over the shared EventLoop, and the three overload levers every
+/// long-lived server needs — admission control, per-client quotas, and read
+/// backpressure.
+///
+/// Where a translate frame (one query, one or more sources) runs: the loop
+/// thread decodes it and applies quota and admission first, so a shed frame
+/// is never parsed. It then parses a query text of at most
+/// kParseMemoMaxTextBytes and probes each listed source's RAM cache
+/// (TranslationService::ProbeSources). When every source hits, it encodes
+/// and writes the response on the spot (stats().answered_inline). Any other
+/// frame becomes one task on the worker pool, carrying the parsed query and
+/// the probe's outcomes, so nothing is parsed or probed twice; a longer text
+/// reaches the pool unparsed. The loop thread never runs store work, the
+/// store warm-up, a translation or a resilience guard. Responses to frames
+/// pipelined on one connection may therefore come back out of order; the
+/// request id pairs them.
 ///
 /// The TranslationService behind it is hot-swappable: SetService atomically
 /// replaces the shared pointer (SIGHUP/admin-triggered reload), in-flight
@@ -106,7 +123,7 @@ class QmapServer : private ConnHandler {
   struct ConnState {
     double tokens = 0;
     std::chrono::steady_clock::time_point last_refill;
-    size_t pending = 0;  // requests in flight or responses not yet written
+    size_t pending = 0;  // frames on the worker pool, not yet answered
   };
 
   void OnAccept(Conn& conn) override;
@@ -117,6 +134,8 @@ class QmapServer : private ConnHandler {
   /// Answers every source `request` lists with `failure`. Loop thread.
   void RejectTranslate(Conn& conn, const TranslateRequest& request,
                        const Status& failure);
+  /// Counts `response`'s per-source outcomes and encodes it. Any thread.
+  std::string EncodeCounted(const TranslateResponse& response);
   void HandleCatalog(Conn& conn);
   /// Writes one response frame and re-arms the idle deadline. Loop thread.
   void Reply(Conn& conn, FrameType type, std::string_view payload);
@@ -141,6 +160,7 @@ class QmapServer : private ConnHandler {
   std::atomic<uint64_t> malformed_frames_{0};
   std::atomic<uint64_t> catalog_requests_{0};
   std::atomic<uint64_t> reloads_{0};
+  std::atomic<uint64_t> answered_inline_{0};
 };
 
 }  // namespace qmap

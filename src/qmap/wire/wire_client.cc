@@ -172,26 +172,31 @@ Result<std::pair<FrameType, std::string>> WireClient::CallOn(
   const auto deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
   const std::string frame = EncodeFrame(type, payload);
 
+  // Send without waiting first: a connection between calls has an empty
+  // send buffer, so the frame usually goes out in one call. Only a full
+  // buffer waits for POLLOUT, within what is left of the deadline.
   size_t sent = 0;
   while (sent < frame.size()) {
+    ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return Status::Unavailable(std::string("wire client: send: ") +
+                                 std::strerror(errno));
+    }
     pollfd pfd{fd, POLLOUT, 0};
     int ready = ::poll(&pfd, 1, RemainingMs(deadline));
     if (ready == 0) {
       return Status::DeadlineExceeded("wire client: send timed out");
     }
-    if (ready < 0) {
-      if (errno == EINTR) continue;
+    if (ready < 0 && errno != EINTR) {
       return Status::Unavailable(std::string("wire client: poll: ") +
                                  std::strerror(errno));
     }
-    ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(std::string("wire client: send: ") +
-                                 std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
   }
 
   std::string buf;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "qmap/common/status.h"
 #include "qmap/core/stats.h"
 #include "qmap/expr/eval.h"
@@ -37,6 +40,34 @@ TEST(ResultT, MoveOut) {
   Result<std::string> r = std::string("payload");
   std::string taken = *std::move(r);
   EXPECT_EQ(taken, "payload");
+}
+
+// Counts its copies and moves, to tell which operator* a call binds.
+struct MoveCounter {
+  MoveCounter() = default;
+  MoveCounter(const MoveCounter& other)
+      : copies(other.copies + 1), moves(other.moves) {}
+  MoveCounter(MoveCounter&& other) noexcept
+      : copies(other.copies), moves(other.moves + 1) {}
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  int copies = 0;
+  int moves = 0;
+};
+
+TEST(ResultT, DerefOfAnRvalueMovesAndOfAnLvalueCopies) {
+  Result<MoveCounter> r = MoveCounter();
+  const int copies = r->copies;
+  const int moves = r->moves;
+  MoveCounter copied = *r;
+  EXPECT_EQ(copied.copies, copies + 1);
+  EXPECT_EQ(copied.moves, moves);
+  const Result<MoveCounter>& const_ref = r;
+  MoveCounter const_copied = *const_ref;
+  EXPECT_EQ(const_copied.copies, copies + 1);
+  MoveCounter moved = *std::move(r);
+  EXPECT_EQ(moved.copies, copies);
+  EXPECT_EQ(moved.moves, moves + 1);
 }
 
 TEST(Stats, MergeAndRender) {

@@ -1,8 +1,10 @@
 // Tests for the qmap wire protocol: frame and message codecs (round-trip
 // plus seeded corruption fuzz — decoders must be total), and the QmapServer
 // front door over real sockets: translate/catalog round-trips byte-identical
-// to in-process translation, malformed frames, per-connection quotas, and
-// hot service reload.
+// to in-process translation, malformed frames, per-connection quotas,
+// admission control and read backpressure, the cache-first answer on the
+// event-loop thread, and hot service reload. The WireClient tests cover
+// connection pooling and send deadlines.
 
 #include <gtest/gtest.h>
 
@@ -13,16 +15,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "qmap/contexts/synthetic.h"
+#include "qmap/expr/parser.h"
 #include "qmap/expr/printer.h"
 #include "qmap/service/fault_injection.h"
+#include "qmap/service/source_transport.h"
 #include "qmap/service/translation_service.h"
 #include "qmap/wire/frame.h"
 #include "qmap/wire/messages.h"
@@ -848,6 +854,470 @@ TEST(WireClient, AReleaseWakesACallerOfTheSameEndpoint) {
   EXPECT_EQ(client.stats().connects, 2u);
   slow.Stop();
   fast.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Where a translate frame runs: admission, backpressure, the inline path
+
+// A source whose translations wait until Open(), to hold frames on the
+// worker pool.
+class GateTransport : public SourceTransport {
+ public:
+  explicit GateTransport(const MappingSpec& spec) : inner_(Translator(spec)) {}
+
+  Result<Translation> Translate(const Query& full, Trace* trace,
+                                uint64_t parent_span, MatchMemo* memo,
+                                const CancelToken* cancel) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      changed_.notify_all();
+      changed_.wait(lock, [&] { return open_; });
+    }
+    return inner_.Translate(full, trace, parent_span, memo, cancel);
+  }
+
+  void WaitEntered(int calls) {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [&] { return entered_ >= calls; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  InProcessTransport inner_;
+  std::mutex mu_;
+  std::condition_variable changed_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+std::string EndpointOf(const QmapServer& server) {
+  return "127.0.0.1:" + std::to_string(server.port());
+}
+
+TranslateRequest Request(uint64_t id, std::string query_text,
+                         std::vector<std::string> sources) {
+  TranslateRequest request;
+  request.request_id = id;
+  request.query_text = std::move(query_text);
+  request.source = sources.front();
+  request.further_sources.assign(sources.begin() + 1, sources.end());
+  return request;
+}
+
+// One translate call; the raw response payload.
+std::string CallTranslate(WireClient& client, const QmapServer& server,
+                          const TranslateRequest& request) {
+  auto reply = client.Call(EndpointOf(server), FrameType::kTranslateRequest,
+                           EncodeTranslateRequest(request));
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  if (!reply.ok()) return "";
+  EXPECT_EQ(reply->first, FrameType::kTranslateResponse);
+  return reply->second;
+}
+
+TranslateResponse Decoded(const std::string& payload) {
+  Result<TranslateResponse> response = DecodeTranslateResponse(payload);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? *std::move(response) : TranslateResponse{};
+}
+
+// Each reply of `response`, first source first.
+std::vector<const SourceReply*> Replies(const TranslateResponse& response) {
+  std::vector<const SourceReply*> out = {&response};
+  for (const SourceReply& reply : response.further) out.push_back(&reply);
+  return out;
+}
+
+int ConnectLoopback(int port) {
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+// Reads `count` response frames off `fd`, in arrival order.
+std::vector<TranslateResponse> ReadResponses(int fd, size_t count) {
+  std::vector<TranslateResponse> out;
+  std::string buf;
+  char chunk[4096];
+  while (out.size() < count) {
+    FrameType type;
+    std::string_view payload;
+    size_t frame_len = 0;
+    const FrameDecodeResult decoded =
+        DecodeFrame(buf, &type, &payload, &frame_len);
+    if (decoded == FrameDecodeResult::kFrame) {
+      EXPECT_EQ(type, FrameType::kTranslateResponse);
+      out.push_back(Decoded(std::string(payload)));
+      buf.erase(0, frame_len);
+      continue;
+    }
+    EXPECT_EQ(decoded, FrameDecodeResult::kNeedMore);
+    const ssize_t n = read(fd, chunk, sizeof(chunk));
+    if (n <= 0) {
+      ADD_FAILURE() << "connection ended after " << out.size() << " frames";
+      break;
+    }
+    buf.append(chunk, static_cast<size_t>(n));
+  }
+  return out;
+}
+
+TEST(QmapServer, AdmissionShedsAFrameBeforeParsingIt) {
+  const auto federation = SyntheticFederation();
+  auto gate = std::make_shared<GateTransport>(federation.front().second);
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  auto service = std::make_shared<TranslationService>(service_options);
+  service->AddRemoteSource("G", 1, gate);
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  options.max_in_flight = 1;
+  QmapServer server(options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+
+  // The first frame misses and holds the one admission slot on the pool.
+  const TranslateRequest held = Request(1, "[a0 = 1]", {"G"});
+  std::string held_payload;
+  std::thread holder([&] { held_payload = CallTranslate(client, server, held); });
+  gate->WaitEntered(1);
+
+  // A second frame is shed with Unavailable: its malformed text never
+  // reaches the parser, which would have answered ParseError.
+  const TranslateResponse shed =
+      Decoded(CallTranslate(client, server, Request(2, "[[[ not a query", {"G"})));
+  EXPECT_FALSE(shed.ok);
+  EXPECT_EQ(shed.failure.code(), StatusCode::kUnavailable)
+      << shed.failure.ToString();
+  EXPECT_EQ(server.stats().rejected_overload, 1u);
+
+  gate->Open();
+  holder.join();
+  EXPECT_TRUE(Decoded(held_payload).ok);
+  EXPECT_EQ(server.stats().answered_inline, 0u);
+
+  // The slot is free again, and the held frame's answer is cached: the same
+  // frame is answered on the loop thread.
+  const TranslateResponse again = Decoded(CallTranslate(client, server, held));
+  EXPECT_TRUE(again.ok) << again.failure.ToString();
+  EXPECT_EQ(server.stats().answered_inline, 1u);
+  EXPECT_EQ(server.stats().rejected_overload, 1u);
+  server.Stop();
+}
+
+TEST(QmapServer, BackpressureAnswersPipelinedFramesInRequestOrder) {
+  const auto federation = SyntheticFederation();
+  auto gate = std::make_shared<GateTransport>(federation.front().second);
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  auto service = std::make_shared<TranslationService>(service_options);
+  service->AddRemoteSource("G", 1, gate);
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  options.max_pending_per_conn = 1;
+  QmapServer server(options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Three frames, each a miss, pipelined on one connection.
+  const int fd = ConnectLoopback(server.port());
+  std::string pipeline;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    pipeline += EncodeFrame(
+        FrameType::kTranslateRequest,
+        EncodeTranslateRequest(
+            Request(id, "[a0 = " + std::to_string(id) + "]", {"G"})));
+  }
+  ASSERT_EQ(send(fd, pipeline.data(), pipeline.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(pipeline.size()));
+
+  // The first frame sits on the pool, so the connection's reads pause and
+  // the other two stay undecoded.
+  gate->WaitEntered(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(server.stats().requests, 1u);
+
+  gate->Open();
+  const std::vector<TranslateResponse> responses = ReadResponses(fd, 3);
+  ASSERT_EQ(responses.size(), 3u);
+  for (uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(responses[id - 1].request_id, id);
+    EXPECT_TRUE(responses[id - 1].ok) << responses[id - 1].failure.ToString();
+  }
+  EXPECT_EQ(server.stats().requests, 3u);
+  close(fd);
+  server.Stop();
+}
+
+TEST(QmapServer, InlineAndPooledAnswersAreByteIdentical) {
+  auto service = MakeWorkerService();
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  QmapServer server(options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+
+  const TranslateRequest request =
+      Request(9, "([a0 = 1] or [a2 = 2]) and [a1 = 3]",
+              {"S3", "S0", "no-such-source", "S2", "S1", "S0"});
+  const std::string pooled = CallTranslate(client, server, request);
+  EXPECT_EQ(server.stats().answered_inline, 0u);
+  const std::string inline_answer = CallTranslate(client, server, request);
+  EXPECT_EQ(server.stats().answered_inline, 1u);
+  EXPECT_EQ(inline_answer, pooled);
+
+  const TranslateResponse response = Decoded(inline_answer);
+  const std::vector<const SourceReply*> replies = Replies(response);
+  ASSERT_EQ(replies.size(), 6u);
+  for (size_t k = 0; k < replies.size(); ++k) {
+    EXPECT_EQ(replies[k]->ok, k != 2) << k;
+  }
+  EXPECT_EQ(replies[2]->failure.code(), StatusCode::kNotFound);
+  const QmapServerStats stats = server.stats();
+  EXPECT_EQ(stats.responses_ok, 10u);
+  EXPECT_EQ(stats.responses_error, 2u);
+  server.Stop();
+}
+
+TEST(QmapServer, AFrameMixingHitsAndMissesProbesEachSourceOnce) {
+  auto service = MakeWorkerService();
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  QmapServer server(options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+  const std::string text = "[a0 = 1] and ([a1 = 2] or [a3 = 0])";
+
+  CallTranslate(client, server, Request(1, text, {"S0", "S1"}));  // warm two
+  const uint64_t inline_before = server.stats().answered_inline;
+  const TranslationCacheStats before = service->stats().cache;
+  const TranslateResponse mixed = Decoded(
+      CallTranslate(client, server, Request(2, text, {"S2", "S0", "S3", "S1"})));
+  const TranslationCacheStats after = service->stats().cache;
+  for (const SourceReply* reply : Replies(mixed)) EXPECT_TRUE(reply->ok);
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(server.stats().answered_inline, inline_before);
+  server.Stop();
+}
+
+TEST(QmapServer, AParseFailureAnswersWithTheParserStatus) {
+  auto service = MakeWorkerService();
+  QmapServer server;
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+  const std::string text = "[[[ not a query";
+  const Status want = ParseQuery(text).status();
+  ASSERT_EQ(want.code(), StatusCode::kParseError);
+
+  const TranslateResponse response =
+      Decoded(CallTranslate(client, server, Request(3, text, {"S0", "S1"})));
+  const std::vector<const SourceReply*> replies = Replies(response);
+  ASSERT_EQ(replies.size(), 2u);
+  for (const SourceReply* reply : replies) {
+    EXPECT_FALSE(reply->ok);
+    EXPECT_EQ(reply->failure.code(), want.code());
+    EXPECT_EQ(reply->failure.message(), want.message());
+  }
+  EXPECT_EQ(server.stats().answered_inline, 1u);
+  EXPECT_EQ(server.stats().responses_error, 2u);
+  server.Stop();
+}
+
+TEST(QmapServer, ATextPastTheParseMemoBoundIsAnsweredByThePool) {
+  auto service = MakeWorkerService();
+  QmapServer server;
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+  std::string text = "[a1 = 2] and ([a0 = 0]";
+  for (int v = 1; text.size() <= kParseMemoMaxTextBytes; ++v) {
+    text += " or [a0 = " + std::to_string(v) + "]";
+  }
+  text += ")";
+  const TranslateRequest request = Request(4, text, {"S0", "S2"});
+
+  CallTranslate(client, server, request);
+  const uint64_t hits_before = service->stats().cache.hits;
+  const TranslateResponse response =
+      Decoded(CallTranslate(client, server, request));
+  // Every source hit the cache, yet the pool answered: the loop thread does
+  // not parse a text that long.
+  EXPECT_EQ(service->stats().cache.hits - hits_before, 2u);
+  EXPECT_EQ(server.stats().answered_inline, 0u);
+
+  const Query query = Q(text);
+  const std::vector<const SourceReply*> replies = Replies(response);
+  ASSERT_EQ(replies.size(), 2u);
+  for (size_t k = 0; k < replies.size(); ++k) {
+    Result<Translation> want =
+        service->TranslateSource(k == 0 ? "S0" : "S2", query);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(replies[k]->ok) << replies[k]->failure.ToString();
+    EXPECT_EQ(ToParseableText(replies[k]->value.mapped),
+              ToParseableText(want->mapped));
+    EXPECT_EQ(ToParseableText(replies[k]->value.filter),
+              ToParseableText(want->filter));
+  }
+  server.Stop();
+}
+
+TEST(QmapServer, SetServiceSwapsTheServiceBetweenInlineFrames) {
+  auto first = MakeWorkerService();
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  QmapServer server(options);
+  server.SetService(first);
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+  const TranslateRequest request = Request(5, "[a0 = 1]", {"S0", "S1"});
+
+  CallTranslate(client, server, request);
+  CallTranslate(client, server, request);
+  EXPECT_EQ(server.stats().answered_inline, 1u);
+  EXPECT_EQ(first->stats().cache.hits, 2u);
+
+  // The new service's cache is empty: its first frame goes to the pool, its
+  // second is answered inline from its own cache.
+  auto second = MakeWorkerService();
+  server.SetService(second);
+  const std::string pooled = CallTranslate(client, server, request);
+  EXPECT_EQ(server.stats().answered_inline, 1u);
+  EXPECT_EQ(second->stats().cache.misses, 2u);
+  const std::string inline_answer = CallTranslate(client, server, request);
+  EXPECT_EQ(server.stats().answered_inline, 2u);
+  EXPECT_EQ(second->stats().cache.hits, 2u);
+  EXPECT_EQ(first->stats().cache.hits, 2u);
+  EXPECT_EQ(inline_answer, pooled);
+  EXPECT_EQ(server.stats().reloads, 1u);
+  server.Stop();
+}
+
+TEST(QmapServer, ConcurrentHitAndMissFramesWhileTheServiceSwaps) {
+  // Four clients send frames that hit (a small repeated set) and frames
+  // that miss (fresh queries), over a worker whose service is swapped
+  // underneath them. Every answer must be the reference translation.
+  // The specs' rule plans are built before any thread starts, and every
+  // service copies them built: racing first builds of a plan trip a known
+  // ThreadSanitizer report on gcc 12's std::atomic<std::shared_ptr> (see
+  // LazyShared), which is not what this test is about.
+  auto federation = SyntheticFederation();
+  for (auto& [name, spec] : federation) spec.compiled_plan();
+  const auto make_service = [&federation] {
+    ServiceOptions service_options;
+    service_options.num_threads = 2;
+    auto service = std::make_shared<TranslationService>(service_options);
+    for (const auto& [name, spec] : federation) service->AddSource(name, spec);
+    return service;
+  };
+  auto reference = make_service();
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  QmapServer server(options);
+  server.SetService(make_service());
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+  constexpr int kThreads = 4;
+  constexpr int kFrames = 60;
+  const std::vector<std::vector<std::string>> listings = {
+      {"S0", "S1"}, {"S2", "S3", "S0"}, {"S1", "S2", "S3", "S0"}};
+  std::atomic<int> wrong{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kFrames; ++i) {
+        const std::string text =
+            i % 2 == 0 ? "[a0 = " + std::to_string(i % 3) + "] and [a1 = 2]"
+                       : "[a2 = " + std::to_string(1000 * t + i) +
+                             "] or [a3 = 1]";
+        const std::vector<std::string>& listed = listings[(t + i) % 3];
+        const TranslateResponse response = Decoded(CallTranslate(
+            client, server,
+            Request(static_cast<uint64_t>(i), text, listed)));
+        const std::vector<const SourceReply*> replies = Replies(response);
+        if (replies.size() != listed.size()) {
+          wrong.fetch_add(1);
+          continue;
+        }
+        const Query query = Q(text);
+        for (size_t k = 0; k < listed.size(); ++k) {
+          Result<Translation> want = reference->TranslateSource(listed[k], query);
+          if (!want.ok() || !replies[k]->ok ||
+              ToParseableText(replies[k]->value.mapped) !=
+                  ToParseableText(want->mapped) ||
+              ToParseableText(replies[k]->value.filter) !=
+                  ToParseableText(want->filter)) {
+            wrong.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  std::thread swapper([&] {
+    while (!done.load()) {
+      server.SetService(make_service());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  done.store(true);
+  swapper.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const QmapServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kThreads * kFrames));
+  EXPECT_GT(stats.reloads, 0u);
+  server.Stop();
+}
+
+TEST(WireClient, ASendToAPeerThatNeverReadsTimesOutWithinTheDeadline) {
+  // A listener that never accepts: the kernel completes the handshake and
+  // takes bytes into the connection's small receive buffer, then the
+  // window closes and the client's send buffer fills.
+  const int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const int small = 4096;
+  setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::string endpoint = "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+
+  // Larger than the client's send buffer can grow to plus the peer's window.
+  const std::string payload(8u << 20, 'x');
+  constexpr uint32_t kDeadlineMs = 300;
+  WireClient client;
+  const auto start = std::chrono::steady_clock::now();
+  auto reply =
+      client.Call(endpoint, FrameType::kCatalogRequest, payload, kDeadlineMs);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded)
+      << reply.status().ToString();
+  EXPECT_EQ(reply.status().message(), "wire client: send timed out");
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kDeadlineMs + 1000));
+  close(listener);
 }
 
 }  // namespace
