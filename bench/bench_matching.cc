@@ -21,9 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
-#include "qmap/core/match_memo.h"
 #include "qmap/expr/constraint.h"
 #include "qmap/rules/compiled_matcher.h"
 #include "qmap/rules/matcher.h"
@@ -286,34 +284,6 @@ void CompilePlan(benchmark::State& state) {
   state.counters["plan_nodes"] = static_cast<double>(nodes);
 }
 BENCHMARK(CompilePlan)->RangeMultiplier(8)->Range(8, 256);
-
-}  // namespace
-
-// B1d — memo key cost: what one MatchMemo probe costs under the fingerprint
-// key (fold precomputed 64-bit constraint fingerprints — MatchMemo::KeyOf).
-// The series builds the key for an N-constraint conjunction and probes a
-// warm table with it; key_bytes/iter records the bytes materialized per
-// probe (a constant 8).
-
-namespace {
-
-void MemoProbe_FingerprintKey(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  std::vector<Constraint> conjunction = Conjunction(n);
-  std::unordered_map<uint64_t, int> memo;
-  memo.emplace(qmap::MatchMemo::KeyOf(conjunction), 1);
-  uint64_t key_bytes = 0;
-  for (auto _ : state) {
-    uint64_t key = qmap::MatchMemo::KeyOf(conjunction);
-    key_bytes += sizeof(key);
-    auto it = memo.find(key);
-    benchmark::DoNotOptimize(it);
-  }
-  state.counters["N"] = n;
-  state.counters["key_bytes/iter"] = benchmark::Counter(
-      static_cast<double>(key_bytes), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(MemoProbe_FingerprintKey)->RangeMultiplier(2)->Range(4, 16);
 
 }  // namespace
 

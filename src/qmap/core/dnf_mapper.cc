@@ -3,8 +3,7 @@
 namespace qmap {
 
 Result<Query> DnfMap(const Query& query, const MappingSpec& spec,
-                     TranslationStats* stats, ExactCoverage* coverage,
-                     MatchMemo* memo) {
+                     TranslationStats* stats, ExactCoverage* coverage) {
   // (1) global DNF conversion.
   std::vector<std::vector<Constraint>> disjuncts = DnfDisjuncts(query);
   if (stats != nullptr) stats->dnf_disjuncts += disjuncts.size();
@@ -13,9 +12,7 @@ Result<Query> DnfMap(const Query& query, const MappingSpec& spec,
   std::vector<Query> mapped;
   mapped.reserve(disjuncts.size());
   for (const std::vector<Constraint>& disjunct : disjuncts) {
-    Result<ScmResult> result =
-        Scm(disjunct, spec, stats, coverage, /*trace=*/nullptr,
-            /*parent_span=*/0, memo);
+    Result<ScmResult> result = Scm(disjunct, spec, stats, coverage);
     if (!result.ok()) return result.status();
     mapped.push_back(std::move(result->mapped));
   }

@@ -17,13 +17,9 @@ namespace qmap {
 /// and blind: exponential blow-up regardless of whether any constraint
 /// dependencies exist (Sections 5 and 8). Algorithm TDQM is the efficient
 /// alternative.
-///
-/// `memo`, if given, memoizes per-disjunct matching — DNF disjuncts of one
-/// query overlap heavily, so the memo pays off fastest here.
 Result<Query> DnfMap(const Query& query, const MappingSpec& spec,
                      TranslationStats* stats = nullptr,
-                     ExactCoverage* coverage = nullptr,
-                     MatchMemo* memo = nullptr);
+                     ExactCoverage* coverage = nullptr);
 
 }  // namespace qmap
 

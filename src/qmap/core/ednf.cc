@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "qmap/core/match_memo.h"
 #include "qmap/obs/trace.h"
 
 namespace qmap {
@@ -85,19 +84,11 @@ std::vector<Constraint> ConstraintTable::Materialize(const ConstraintSet& set) c
 
 EdnfComputer::EdnfComputer(const MappingSpec& spec, const Query& root,
                            TranslationStats* stats, Trace* trace,
-                           uint64_t parent_span, MatchMemo* memo)
+                           uint64_t parent_span)
     : table_(root), stats_(stats) {
   Span span(trace, "ednf.match", parent_span);
-  if (memo != nullptr && memo->spec() == &spec) {
-    const uint64_t misses_before = stats != nullptr ? stats->memo_misses : 0;
-    all_matchings_ = memo->Match(table_.constraints(), stats);
-    if (span.detail() && stats != nullptr) {
-      span.AddAttr("memo", stats->memo_misses == misses_before ? "hit" : "miss");
-    }
-  } else {
-    all_matchings_ = MatchSpec(spec, table_.constraints(),
-                               stats != nullptr ? &stats->match : nullptr);
-  }
+  all_matchings_ = MatchSpec(spec, table_.constraints(),
+                             stats != nullptr ? &stats->match : nullptr);
   std::set<ConstraintSet> unique;
   for (const Matching& m : all_matchings_) unique.insert(m.constraint_indices);
   potential_matchings_.assign(unique.begin(), unique.end());

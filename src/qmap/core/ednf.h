@@ -12,7 +12,6 @@
 namespace qmap {
 
 class Trace;
-class MatchMemo;
 
 /// A set of constraints identified by their ids in a ConstraintTable, kept
 /// sorted ascending.  The empty set plays the role of the paper's ε
@@ -71,12 +70,9 @@ class EdnfComputer {
  public:
   /// `trace`/`parent_span`, when given, record the potential-matchings
   /// computation as an "ednf.match" span (see docs/OBSERVABILITY.md).
-  /// `memo`, if non-null and built for `spec`, answers the potential
-  /// matchings M_p from the per-translation match memo — two EdnfComputers
-  /// over the same root (e.g. TDQM then PSafe) then match only once.
   EdnfComputer(const MappingSpec& spec, const Query& root,
                TranslationStats* stats = nullptr, Trace* trace = nullptr,
-               uint64_t parent_span = 0, MatchMemo* memo = nullptr);
+               uint64_t parent_span = 0);
 
   const ConstraintTable& table() const { return table_; }
 

@@ -1,6 +1,5 @@
 #include "qmap/core/scm.h"
 
-#include "qmap/core/match_memo.h"
 #include "qmap/obs/trace.h"
 
 namespace qmap {
@@ -31,22 +30,13 @@ std::vector<Matching> SuppressSubmatchings(std::vector<Matching> matchings,
 Result<ScmResult> Scm(const std::vector<Constraint>& conjunction,
                       const MappingSpec& spec, TranslationStats* stats,
                       ExactCoverage* coverage, Trace* trace,
-                      uint64_t parent_span, MatchMemo* memo) {
+                      uint64_t parent_span) {
   // (1) all matchings of any rule in K.
   std::vector<Matching> matchings;
   {
     Span span(trace, "match", parent_span);
-    if (memo != nullptr && memo->spec() == &spec) {
-      const uint64_t misses_before = stats != nullptr ? stats->memo_misses : 0;
-      matchings = memo->Match(conjunction, stats);
-      if (span.detail() && stats != nullptr) {
-        span.AddAttr("memo",
-                     stats->memo_misses == misses_before ? "hit" : "miss");
-      }
-    } else {
-      matchings = MatchSpec(spec, conjunction,
-                            stats != nullptr ? &stats->match : nullptr);
-    }
+    matchings = MatchSpec(spec, conjunction,
+                          stats != nullptr ? &stats->match : nullptr);
   }
   return ScmFromMatchings(conjunction, std::move(matchings), spec, stats,
                           coverage, trace, parent_span);

@@ -10,7 +10,6 @@
 namespace qmap {
 
 class Trace;
-class MatchMemo;
 
 /// Output of Algorithm SCM.
 struct ScmResult {
@@ -38,15 +37,10 @@ struct ScmResult {
 /// an "scm" span (both children of `parent_span`); in detail mode the "scm"
 /// span carries one "match" attribute per applied rule — the lines
 /// ExplainTdqm renders.
-///
-/// `memo`, if non-null and built for this `spec`, answers step 1 from the
-/// per-translation match memo (qmap/core/match_memo.h); the "match" span
-/// then carries a "memo" attribute ("hit" or "miss"). A memo built for a
-/// different spec is ignored.
 Result<ScmResult> Scm(const std::vector<Constraint>& conjunction,
                       const MappingSpec& spec, TranslationStats* stats = nullptr,
                       ExactCoverage* coverage = nullptr, Trace* trace = nullptr,
-                      uint64_t parent_span = 0, MatchMemo* memo = nullptr);
+                      uint64_t parent_span = 0);
 
 /// Convenience wrapper returning just the mapped query.
 Result<Query> ScmMap(const std::vector<Constraint>& conjunction,

@@ -53,9 +53,10 @@ namespace qmap {
 struct TranslationStats {
   MatchCounters match;
 
-  // Per-translation match memo (qmap/core/match_memo.h): conjunctions whose
-  // matchings were answered from / inserted into the memo. Zero when no memo
-  // is in scope.
+  // Always 0: rule matching keeps no memo (every match calls MatchSpec, and
+  // TDQM's reuse of the root potential matchings M_p is the only sharing).
+  // Kept only because e2e_bench/ reads both for its core.memo_hit_frac
+  // metric; both go once that metric is dropped.
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
 

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "qmap/core/match_memo.h"
 #include "qmap/core/psafe.h"
 #include "qmap/expr/dnf.h"
 #include "qmap/obs/trace.h"
@@ -19,8 +18,6 @@ struct TdqmContext {
   const EdnfComputer* shared_ednf;
   /// Per-query trace, or nullptr for the uninstrumented path.
   Trace* trace;
-  /// Per-translation match memo, or nullptr.
-  MatchMemo* memo;
 };
 
 Result<Query> Walk(const Query& query, TdqmContext& ctx, uint64_t parent_span) {
@@ -47,7 +44,7 @@ Result<Query> Walk(const Query& query, TdqmContext& ctx, uint64_t parent_span) {
       // original query); fall through to fresh matching.
     }
     Result<ScmResult> result = Scm(conjunction, ctx.spec, ctx.stats,
-                                   ctx.coverage, ctx.trace, node.id(), ctx.memo);
+                                   ctx.coverage, ctx.trace, node.id());
     if (!result.ok()) return result.status();
     return result->mapped;
   }
@@ -75,7 +72,7 @@ Result<Query> Walk(const Query& query, TdqmContext& ctx, uint64_t parent_span) {
   const EdnfComputer* ednf = ctx.shared_ednf;
   if (ednf == nullptr) {
     local = std::make_unique<EdnfComputer>(ctx.spec, query, ctx.stats, ctx.trace,
-                                           node.id(), ctx.memo);
+                                           node.id());
     ednf = local.get();
   }
   PSafePartition partition =
@@ -119,12 +116,12 @@ Result<Query> Walk(const Query& query, TdqmContext& ctx, uint64_t parent_span) {
 Result<Query> Tdqm(const Query& query, const MappingSpec& spec,
                    TranslationStats* stats, ExactCoverage* coverage,
                    const TdqmOptions& options) {
-  TdqmContext ctx{spec, stats, coverage, nullptr, options.trace, options.memo};
+  TdqmContext ctx{spec, stats, coverage, nullptr, options.trace};
   Span root(options.trace, "tdqm", options.parent_span);
   std::unique_ptr<EdnfComputer> shared;
   if (options.reuse_potential_matchings) {
     shared = std::make_unique<EdnfComputer>(spec, query, stats, options.trace,
-                                            root.id(), options.memo);
+                                            root.id());
     ctx.shared_ednf = shared.get();
   }
   return Walk(query, ctx, root.id());

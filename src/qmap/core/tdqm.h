@@ -19,11 +19,6 @@ struct TdqmOptions {
   /// Null trace = the no-op path (no clock reads).  Not owned.
   Trace* trace = nullptr;
   uint64_t parent_span = 0;
-
-  /// Per-translation match memo (qmap/core/match_memo.h), shared by the
-  /// traversal's SCM base cases and every EdnfComputer it builds. Not owned;
-  /// may be null (no memoization).
-  MatchMemo* memo = nullptr;
 };
 
 /// Algorithm TDQM (Figure 8): maps an arbitrary ∧/∨ query by top-down

@@ -1,9 +1,7 @@
 #include "qmap/core/translator.h"
 
 #include <chrono>
-#include <memory>
 
-#include "qmap/core/match_memo.h"
 #include "qmap/expr/parser.h"
 #include "qmap/expr/simplify.h"
 #include "qmap/obs/trace.h"
@@ -11,15 +9,9 @@
 namespace qmap {
 
 Result<Translation> Translator::Translate(const Query& query, Trace* trace,
-                                          uint64_t parent_span,
-                                          MatchMemo* memo) const {
+                                          uint64_t parent_span) const {
   const auto start = std::chrono::steady_clock::now();
   Span span(trace, "translate", parent_span);
-  std::unique_ptr<MatchMemo> local_memo;
-  if (memo == nullptr && options_.use_match_memo) {
-    local_memo = std::make_unique<MatchMemo>(&spec_);
-    memo = local_memo.get();
-  }
   Translation out;
   Result<Query> mapped = Query::True();
   switch (options_.algorithm) {
@@ -28,13 +20,12 @@ Result<Translation> Translator::Translate(const Query& query, Trace* trace,
       tdqm_options.reuse_potential_matchings = options_.reuse_potential_matchings;
       tdqm_options.trace = trace;
       tdqm_options.parent_span = span.id();
-      tdqm_options.memo = memo;
       mapped = Tdqm(query, spec_, &out.stats, &out.coverage, tdqm_options);
       break;
     }
     case MappingAlgorithm::kDnf: {
       Span algorithm(trace, "dnf", span.id());
-      mapped = DnfMap(query, spec_, &out.stats, &out.coverage, memo);
+      mapped = DnfMap(query, spec_, &out.stats, &out.coverage);
       break;
     }
     case MappingAlgorithm::kNaive: {
@@ -64,14 +55,13 @@ Result<Translation> Translator::Translate(const Query& query, Trace* trace,
 
 Result<Translation> Translator::TranslateText(const std::string& query_text,
                                               Trace* trace,
-                                              uint64_t parent_span,
-                                              MatchMemo* memo) const {
+                                              uint64_t parent_span) const {
   Result<Query> query = [&] {
     Span span(trace, "parse", parent_span);
     return ParseQuery(query_text);
   }();
   if (!query.ok()) return query.status();
-  return Translate(*query, trace, parent_span, memo);
+  return Translate(*query, trace, parent_span);
 }
 
 }  // namespace qmap

@@ -27,11 +27,6 @@ struct TranslatorOptions {
   /// (absorption laws — the cheap part of the term minimization §8 points
   /// to).  Logically neutral; can only shrink the outputs.
   bool simplify_output = false;
-  /// Memoize rule matching across the sub-conjunctions of each Translate
-  /// call (qmap/core/match_memo.h). When the caller passes its own memo to
-  /// Translate, that memo is used regardless of this flag; when it passes
-  /// none, this flag controls whether a per-call memo is created.
-  bool use_match_memo = true;
 };
 
 /// A completed translation for one target context.
@@ -67,22 +62,14 @@ class Translator {
   /// algorithm run (tdqm/dnf/naive, with the tdqm traversal fully nested)
   /// and the residue-filter construction; the span carries the final
   /// TranslationStats. A null trace is the no-op path.
-  ///
-  /// `memo`, if non-null, must be built for this translator's spec() and
-  /// supplies (and accumulates) memoized matchings across calls — the
-  /// TranslationService passes a per-request memo here so repeated
-  /// sub-conjunctions across a batch match once per source. When null and
-  /// options.use_match_memo is set, each call gets a fresh private memo.
   Result<Translation> Translate(const Query& query, Trace* trace = nullptr,
-                                uint64_t parent_span = 0,
-                                MatchMemo* memo = nullptr) const;
+                                uint64_t parent_span = 0) const;
 
   /// Parses `query_text` with ParseQuery (a "parse" span when traced) and
   /// translates it.
   Result<Translation> TranslateText(const std::string& query_text,
                                     Trace* trace = nullptr,
-                                    uint64_t parent_span = 0,
-                                    MatchMemo* memo = nullptr) const;
+                                    uint64_t parent_span = 0) const;
 
  private:
   MappingSpec spec_;

@@ -31,8 +31,8 @@ enum class NodeKind { kTrue, kLeaf, kAnd, kOr };
 /// disabled, the constructors canonicalize against a process-wide table so
 /// structurally equal subtrees share one node, and every node carries a
 /// precomputed 64-bit fingerprint() of its structure. Identity-keyed layers
-/// (MatchMemo, the EDNF constraint table, residue-filter dedup, the
-/// translation cache) key on fingerprints instead of printed strings.
+/// (the EDNF constraint table, residue-filter dedup, the translation cache)
+/// key on fingerprints instead of printed strings.
 ///
 /// The constructors probe the table before they build: they normalize over
 /// borrowed child handles, fingerprint the result and look it up, so a
@@ -74,7 +74,7 @@ class Query {
 
   /// 64-bit structural fingerprint, precomputed at construction. Structurally
   /// equal queries always fingerprint equal; distinct structures collide with
-  /// probability ~2^-64. Memo/cache layers key on this directly.
+  /// probability ~2^-64. Cache layers key on this directly.
   uint64_t fingerprint() const { return node_->fingerprint; }
 
   /// The address of the underlying shared node. When both queries were built

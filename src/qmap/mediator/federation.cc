@@ -23,8 +23,7 @@ Result<FederatedCatalog::FederatedResult> FederatedCatalog::Query(
     ResilienceManager::CallReport report;
     const auto attempt = [&] {
       return member.transport->Translate(query, /*trace=*/nullptr,
-                                         /*parent_span=*/0, /*memo=*/nullptr,
-                                         cancel);
+                                         /*parent_span=*/0, cancel);
     };
     Result<Translation> translation =
         resilience_ != nullptr

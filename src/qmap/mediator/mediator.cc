@@ -126,8 +126,7 @@ Result<MediatorTranslation> Mediator::Translate(const Query& query, Trace* trace
                   Translator(source.spec(), options_));
     ResilienceManager::CallReport report;
     const auto attempt = [&] {
-      return transport->Translate(full, trace, source_span.id(),
-                                  /*memo=*/nullptr, cancel);
+      return transport->Translate(full, trace, source_span.id(), cancel);
     };
     Result<Translation> translation =
         resilience_ != nullptr

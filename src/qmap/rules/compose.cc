@@ -1135,15 +1135,13 @@ Result<ComposedSpec> ComposeSpecs(const MappingSpec& hop1,
 
   auto merged = std::make_shared<FunctionRegistry>(hop1.registry());
   merged->MergeFrom(hop2.registry());
-  MappingSpec spec(hop2.target_name(), std::move(merged));
-  for (Rule& rule : unique_rules) spec.AddRule(std::move(rule));
-
   // Seed the composed fingerprint from both parents: re-registering either
   // parent rotates the composed spec's rule_set cache key even when the
   // composed rule text is unchanged.
   Fnv64 seed;
   seed.AddU64(hop1.fingerprint()).AddU64(hop2.fingerprint());
-  spec.set_fingerprint_seed(seed.value());
+  MappingSpec spec(hop2.target_name(), std::move(merged),
+                   std::move(unique_rules), seed.value());
 
   Status composed_valid = spec.Validate();
   if (!composed_valid.ok()) {

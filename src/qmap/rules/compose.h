@@ -70,9 +70,8 @@ struct ComposedSpec {
 ///
 /// The composed spec's registry merges both parents' registries, its target
 /// name is `hop2.target_name()`, and its fingerprint is seeded from both
-/// parent fingerprints (MappingSpec::set_fingerprint_seed) so the 192-bit
-/// translation-store key and the compiled-matcher plan cache invalidate
-/// whenever either parent's rule set changes.
+/// parent fingerprints (the MappingSpec constructor's seed) so the 192-bit
+/// translation-store key changes whenever either parent's rule set changes.
 ///
 /// Unification is conservative: covers it cannot express exactly (a literal
 /// that would need a runtime equality check, a hop-2 condition over a

@@ -34,9 +34,8 @@ namespace qmap {
 ///     (and relocatable) across threads and MappingSpec copies.
 ///
 /// A plan holds no pointers into the MappingSpec it was compiled from; it
-/// refers to rules by index, so it stays valid across spec copies/moves as
-/// long as the rule list itself is unchanged (MappingSpec invalidates its
-/// cached plan on AddRule).
+/// refers to rules by index, so it stays valid across spec copies and moves;
+/// a MappingSpec's rule list never changes after construction.
 ///
 /// Immutable after construction — safe to share across threads.
 

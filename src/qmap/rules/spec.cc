@@ -78,89 +78,30 @@ Status CheckEmissionBound(const std::string& rule_name, const EmissionTemplate& 
 
 }  // namespace
 
-MappingSpec::MappingSpec(const MappingSpec& other)
-    : target_name_(other.target_name_),
-      registry_(other.registry_),
-      rules_(other.rules_) {
-  compiled_plan_.Set(other.compiled_plan_.Peek());
-  std::lock_guard<std::mutex> lock(other.fingerprint_mu_);
-  fingerprint_ = other.fingerprint_;
-  fingerprint_valid_ = other.fingerprint_valid_;
-  fingerprint_seed_ = other.fingerprint_seed_;
-}
+MappingSpec::MappingSpec()
+    : MappingSpec(std::string(), std::make_shared<FunctionRegistry>()) {}
 
-MappingSpec& MappingSpec::operator=(const MappingSpec& other) {
-  if (this == &other) return *this;
-  target_name_ = other.target_name_;
-  registry_ = other.registry_;
-  rules_ = other.rules_;
-  compiled_plan_.Set(other.compiled_plan_.Peek());
-  uint64_t fingerprint = 0;
-  bool fingerprint_valid = false;
-  uint64_t fingerprint_seed = 0;
-  {
-    std::lock_guard<std::mutex> lock(other.fingerprint_mu_);
-    fingerprint = other.fingerprint_;
-    fingerprint_valid = other.fingerprint_valid_;
-    fingerprint_seed = other.fingerprint_seed_;
-  }
-  std::lock_guard<std::mutex> lock(fingerprint_mu_);
-  fingerprint_ = fingerprint;
-  fingerprint_valid_ = fingerprint_valid;
-  fingerprint_seed_ = fingerprint_seed;
-  return *this;
-}
-
-MappingSpec::MappingSpec(MappingSpec&& other) noexcept
-    : target_name_(std::move(other.target_name_)),
-      registry_(std::move(other.registry_)),
-      rules_(std::move(other.rules_)) {
-  compiled_plan_.Set(other.compiled_plan_.Peek());
-  std::lock_guard<std::mutex> lock(other.fingerprint_mu_);
-  fingerprint_ = other.fingerprint_;
-  fingerprint_valid_ = other.fingerprint_valid_;
-  fingerprint_seed_ = other.fingerprint_seed_;
-}
-
-MappingSpec& MappingSpec::operator=(MappingSpec&& other) noexcept {
-  if (this == &other) return *this;
-  target_name_ = std::move(other.target_name_);
-  registry_ = std::move(other.registry_);
-  rules_ = std::move(other.rules_);
-  compiled_plan_.Set(other.compiled_plan_.Peek());
-  uint64_t fingerprint = 0;
-  bool fingerprint_valid = false;
-  uint64_t fingerprint_seed = 0;
-  {
-    std::lock_guard<std::mutex> lock(other.fingerprint_mu_);
-    fingerprint = other.fingerprint_;
-    fingerprint_valid = other.fingerprint_valid_;
-    fingerprint_seed = other.fingerprint_seed_;
-  }
-  std::lock_guard<std::mutex> lock(fingerprint_mu_);
-  fingerprint_ = fingerprint;
-  fingerprint_valid_ = fingerprint_valid;
-  fingerprint_seed_ = fingerprint_seed;
-  return *this;
-}
-
-uint64_t MappingSpec::fingerprint() const {
-  std::lock_guard<std::mutex> lock(fingerprint_mu_);
-  if (!fingerprint_valid_) {
-    // Field-separated so "ab" + "c" and "a" + "bc" cannot collide; rule
-    // renderings are canonical (the same text the spec parser accepts).
-    Fnv64 fp;
-    if (fingerprint_seed_ != 0) fp.AddU64(fingerprint_seed_);
-    fp.Add(target_name_).AddByte('\x1f');
-    for (const Rule& rule : rules_) fp.Add(rule.ToString()).AddByte('\x1f');
-    fingerprint_ = fp.value();
-    fingerprint_valid_ = true;
-  }
-  return fingerprint_;
+MappingSpec::MappingSpec(std::string target_name,
+                         std::shared_ptr<const FunctionRegistry> registry,
+                         std::vector<Rule> rules, uint64_t fingerprint_seed)
+    : target_name_(std::move(target_name)),
+      registry_(std::move(registry)),
+      rules_(std::move(rules)),
+      fingerprint_seed_(fingerprint_seed),
+      plan_cell_(std::make_shared<PlanCell>()) {
+  // Field-separated so "ab" + "c" and "a" + "bc" cannot collide; rule
+  // renderings are canonical (the same text the spec parser accepts).
+  Fnv64 fp;
+  if (fingerprint_seed_ != 0) fp.AddU64(fingerprint_seed_);
+  fp.Add(target_name_).AddByte('\x1f');
+  for (const Rule& rule : rules_) fp.Add(rule.ToString()).AddByte('\x1f');
+  fingerprint_ = fp.value();
 }
 
 std::shared_ptr<const CompiledRulePlan> MappingSpec::compiled_plan() const {
-  return compiled_plan_.GetOrBuild([this] { return CompileRulePlan(rules_); });
+  PlanCell& cell = *plan_cell_;
+  std::call_once(cell.built, [&] { cell.plan = CompileRulePlan(rules_); });
+  return cell.plan;
 }
 
 const Rule* MappingSpec::FindRule(const std::string& name) const {

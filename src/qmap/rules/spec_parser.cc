@@ -290,7 +290,7 @@ Result<MappingSpec> ParseMappingSpec(
   TokenCursor cursor;
   Status lexed = cursor.Reset(text);
   if (!lexed.ok()) return lexed;
-  MappingSpec spec(std::move(target_name), std::move(registry));
+  std::vector<Rule> rules;
   while (!cursor.AtEnd()) {
     if (!cursor.TryConsumeIdent("rule")) {
       return Status::ParseError("expected 'rule' but found '" +
@@ -299,8 +299,10 @@ Result<MappingSpec> ParseMappingSpec(
     }
     Result<Rule> rule = ParseRule(cursor);
     if (!rule.ok()) return rule.status();
-    spec.AddRule(*std::move(rule));
+    rules.push_back(*std::move(rule));
   }
+  MappingSpec spec(std::move(target_name), std::move(registry),
+                   std::move(rules));
   Status s = spec.Validate();
   if (!s.ok()) return s;
   return spec;

@@ -11,7 +11,6 @@
 
 namespace qmap {
 
-class MatchMemo;
 class Trace;
 
 /// Where a source's per-query translation actually runs. Every source in a
@@ -29,12 +28,10 @@ class SourceTransport {
 
   /// Translates the full query (view constraints already conjoined) for
   /// this transport's source. `trace`/`parent_span` attach per-call spans;
-  /// `memo` is the caller's per-request match memo (null for transports
-  /// that cannot use one — remote matching memoizes on the worker);
   /// `cancel` carries the remaining deadline budget for propagation.
-  /// Any of trace/memo/cancel may be null.
+  /// Either of trace/cancel may be null.
   virtual Result<Translation> Translate(const Query& full, Trace* trace,
-                                        uint64_t parent_span, MatchMemo* memo,
+                                        uint64_t parent_span,
                                         const CancelToken* cancel) = 0;
 
   /// True when one TranslateMany call can carry both this transport's
@@ -63,8 +60,8 @@ class SourceTransport {
         Status::Internal("transport " + endpoint() + " shares no calls"));
   }
 
-  /// The mapping spec when translation is local (used to build match
-  /// memos); null when the rules live elsewhere.
+  /// The mapping spec when translation is local (read by the containment
+  /// pruning pre-pass); null when the rules live elsewhere.
   virtual const MappingSpec* spec() const { return nullptr; }
 
   /// Human-readable location for scoreboards and traces, e.g. "local" or
@@ -80,10 +77,10 @@ class InProcessTransport : public SourceTransport {
       : translator_(std::move(translator)) {}
 
   Result<Translation> Translate(const Query& full, Trace* trace,
-                                uint64_t parent_span, MatchMemo* memo,
+                                uint64_t parent_span,
                                 const CancelToken* cancel) override {
     (void)cancel;  // deadline enforcement wraps the call (resilience guard)
-    return translator_.Translate(full, trace, parent_span, memo);
+    return translator_.Translate(full, trace, parent_span);
   }
 
   const MappingSpec* spec() const override { return &translator_.spec(); }

@@ -28,7 +28,6 @@ namespace qmap {
 
 class Counter;
 class Histogram;
-class MatchMemo;
 class MetricsRegistry;
 class Trace;
 
@@ -61,7 +60,7 @@ struct ObsOptions {
   /// (qmap_translate_total, qmap_translate_latency_us, qmap_cache_*_total,
   /// qmap_pool_*_us, qmap_slow_queries_total, the rule-matching counters
   /// qmap_match_pattern_attempts_total / qmap_match_index_hits_total /
-  /// qmap_match_memo_hits_total / qmap_match_attempts_saved_total, and
+  /// qmap_match_attempts_saved_total, and
   /// per-phase qmap_span_*_us from traced runs). Must outlive the service.
   MetricsRegistry* metrics = nullptr;
   SlowQueryLogOptions slow_query;
@@ -520,17 +519,6 @@ class TranslationService {
   /// Recomputes units_ from sources_ (setup-phase only).
   void RebuildUnits();
 
-  /// Batch match-memo scope, for TranslateBatch only: one thread-safe
-  /// MatchMemo per source (in sources_ order), built for that source's spec
-  /// and shared across the batch's unique queries, so memoized matchings
-  /// never outlive the batch that made them. Translate builds none — it
-  /// translates each source at most once, which the per-source Translator's
-  /// own per-call memo already covers. Empty when
-  /// options_.translator.use_match_memo is off. Remote sources
-  /// (transport->spec() == nullptr) get a null slot: their rule matching
-  /// memoizes on the worker, not here.
-  std::vector<std::unique_ptr<MatchMemo>> MakeMemoScope() const;
-
   /// The typed cache key of `full` for `source` (see TranslationCacheKey).
   static TranslationCacheKey CacheKey(const SourceEntry& source,
                                       const Query& full) {
@@ -551,15 +539,14 @@ class TranslationService {
   /// the cache did not answer (`missed`, indices into sources_): the store
   /// tier, then one call, under the resilience guards when enabled, for
   /// the members the store did not answer — one member calls its
-  /// transport's Translate with its memo from `memos` (empty for none), two
-  /// or more one TranslateMany — then the fills of both tiers. Degraded
+  /// transport's Translate, two or more one TranslateMany — then the fills
+  /// of both tiers. Degraded
   /// translations are never cached — a cached entry must be the exact
   /// mapping, not a widened one. An eviction caused by a member's RAM fill
   /// shows in its result's stats.cache_evictions. Writes outcomes[i] for
   /// every member i, and reports[i] for every member the guards ran.
   void TranslateUnit(std::span<const size_t> missed, const Query& full,
                      Trace* trace, uint64_t parent_span,
-                     const std::vector<std::unique_ptr<MatchMemo>>& memos,
                      const CancelToken* cancel,
                      std::span<std::optional<Result<Translation>>> outcomes,
                      std::span<ResilienceManager::CallReport> reports) const;
@@ -581,17 +568,14 @@ class TranslationService {
   /// The cache-first fan-out + deterministic join for one full query (view
   /// constraints already conjoined): every source's RAM probe runs on the
   /// calling thread, then two or more units of work go to the pool and a
-  /// single unit runs inline. `memos` is the batch memo scope (empty for
-  /// Translate).
+  /// single unit runs inline.
   ///
   /// Cancellation/lifetime contract: workers write into stack-allocated
   /// per-request state, so this function ALWAYS waits for every dispatched
   /// task — even when `cancel` has already expired. Workers poll the token
   /// and bail out fast instead of being abandoned (see docs/ROBUSTNESS.md).
-  Result<MediatorTranslation> TranslateFull(
-      const Query& full, Trace* trace,
-      const std::vector<std::unique_ptr<MatchMemo>>& memos,
-      const CancelToken* cancel) const;
+  Result<MediatorTranslation> TranslateFull(const Query& full, Trace* trace,
+                                            const CancelToken* cancel) const;
 
   /// TranslateFull plus the observability envelope: wall-clock timing, the
   /// latency histogram, folding trace spans into per-phase metrics, and
@@ -599,9 +583,7 @@ class TranslationService {
   /// internal Trace when the caller passed none but metrics or the
   /// slow-query log need one.
   Result<MediatorTranslation> TranslateObserved(
-      const Query& full, Trace* trace,
-      const std::vector<std::unique_ptr<MatchMemo>>& memos,
-      const CancelToken* cancel) const;
+      const Query& full, Trace* trace, const CancelToken* cancel) const;
 
   /// The request-level cancel token (ResilienceManager::MakeRequestToken),
   /// or null when resilience is off.
@@ -671,7 +653,6 @@ class TranslationService {
   Histogram* latency_hist_ = nullptr;
   Counter* match_attempts_counter_ = nullptr;
   Counter* match_index_hits_counter_ = nullptr;
-  Counter* match_memo_hits_counter_ = nullptr;
   Counter* match_saved_counter_ = nullptr;
   Counter* match_compiled_hits_counter_ = nullptr;
   Counter* match_compile_ns_counter_ = nullptr;

@@ -35,9 +35,7 @@ RemoteTransport::RemoteTransport(std::string source, std::string endpoint,
 
 Result<Translation> RemoteTransport::Translate(const Query& full, Trace* trace,
                                                uint64_t parent_span,
-                                               MatchMemo* memo,
                                                const CancelToken* cancel) {
-  (void)memo;  // rule matching memoizes on the worker, not here
   SourceTransport* self = this;
   return std::move(
       TranslateMany(std::span(&self, 1), full, trace, parent_span, cancel)

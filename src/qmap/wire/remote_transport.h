@@ -53,7 +53,7 @@ class RemoteTransport : public SourceTransport {
                   RemoteTransportOptions options = {});
 
   Result<Translation> Translate(const Query& full, Trace* trace,
-                                uint64_t parent_span, MatchMemo* memo,
+                                uint64_t parent_span,
                                 const CancelToken* cancel) override;
 
   /// True for a RemoteTransport to the same endpoint over the same client.

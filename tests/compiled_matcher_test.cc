@@ -6,9 +6,11 @@
 //  * randomized-query equivalence: 500+ random queries per synthetic spec,
 //    every DNF disjunct matched by both engines, seed echoed on failure so
 //    a miss is reproducible;
-//  * the lazily-built plan is published exactly once under a concurrent
-//    first-build race (pointer identity across threads) — this test plus
-//    the LazyShared stress below run under TSan in CI;
+//  * the lazily-built plan is built exactly once under a concurrent
+//    first-build race, on one spec and on copies of it (pointer identity
+//    across threads) — both race tests run under TSan in CI;
+//  * copies of a spec share its plan, so Mediator::Translate, which copies
+//    every source's spec per call, compiles each source's plan once;
 //  * QMAP_MATCH_ENGINE decoding.
 //
 // Every suite name starts with "CompiledMatcher" — the TSan CI job selects
@@ -19,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <latch>
 #include <limits>
@@ -29,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "qmap/common/lazy_shared.h"
 #include "qmap/contexts/amazon.h"
 #include "qmap/contexts/clbooks.h"
 #include "qmap/contexts/diglib.h"
@@ -298,20 +298,49 @@ TEST(CompiledMatcherPlan, CompileTelemetryAdvances) {
   EXPECT_GT(after.compile_ns, before.compile_ns);
 }
 
-TEST(CompiledMatcherPlan, AddRuleInvalidatesPlan) {
+TEST(CompiledMatcherPlan, DifferentRuleListsGetDifferentPlans) {
   auto registry = SyntheticRegistry();
-  Result<MappingSpec> spec = ParseMappingSpec(
+  Result<MappingSpec> one = ParseMappingSpec(
       "rule A: [x = V] => emit true;", "test", registry);
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  std::shared_ptr<const CompiledRulePlan> first = spec->compiled_plan();
-  EXPECT_EQ(first.get(), spec->compiled_plan().get()) << "plan not cached";
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  std::shared_ptr<const CompiledRulePlan> first = one->compiled_plan();
+  EXPECT_EQ(first.get(), one->compiled_plan().get()) << "plan not cached";
+  // The same rules plus one more make another spec, with a plan of its own.
   Result<MappingSpec> donor = ParseMappingSpec(
       "rule B: [y = V] => emit true;", "test", registry);
   ASSERT_TRUE(donor.ok());
-  spec->AddRule(donor->rules()[0]);
-  std::shared_ptr<const CompiledRulePlan> second = spec->compiled_plan();
+  std::vector<Rule> rules = one->rules();
+  rules.push_back(donor->rules()[0]);
+  MappingSpec two(one->target_name(), registry, std::move(rules));
+  std::shared_ptr<const CompiledRulePlan> second = two.compiled_plan();
   EXPECT_NE(first.get(), second.get());
+  EXPECT_EQ(first->num_rules(), 1);
   EXPECT_EQ(second->num_rules(), 2);
+}
+
+TEST(CompiledMatcherPlan, MediatorTranslationsBuildOnePlanPerSource) {
+  // Mediator::Translate copies each source's spec into a fresh Translator
+  // on every call. The copies share the spec's plan, so N calls over K
+  // sources compile K plans in total, not K per call.
+  ScopedEngine restore;
+  SetMatchEngine(MatchEngine::kCompiled);
+  const Mediator mediator = MakeFacultyMediator();
+  const uint64_t sources = mediator.sources().size();
+  ASSERT_GE(sources, 2u);
+  const Query query = Q(
+      "[fac.ln = pub.ln] and [fac.fn = pub.fn] and "
+      "[fac.bib contains \"data(near)mining\"] and [fac.dept = \"cs\"]");
+  const uint64_t built_before = CompiledPlanGlobalStats().plans_built;
+  for (int call = 0; call < 5; ++call) {
+    ASSERT_TRUE(mediator.Translate(query).ok());
+  }
+  EXPECT_EQ(CompiledPlanGlobalStats().plans_built - built_before, sources);
+  for (const SourceContext& source : mediator.sources()) {
+    const MappingSpec copy = source.spec();
+    EXPECT_EQ(copy.compiled_plan().get(), source.spec().compiled_plan().get())
+        << source.name();
+  }
+  EXPECT_EQ(CompiledPlanGlobalStats().plans_built - built_before, sources);
 }
 
 // --- Concurrent publication ----------------------------------------------
@@ -348,30 +377,32 @@ TEST(CompiledMatcherConcurrency, FirstBuildRacePublishesOnePlan) {
   }
 }
 
-TEST(CompiledMatcherConcurrency, LazySharedBuildsExactlyOncePerEpoch) {
-  LazyShared<int> shared;
-  std::atomic<int> builds{0};
-  auto build = [&] {
-    builds.fetch_add(1);
-    return std::make_shared<const int>(7);
-  };
+TEST(CompiledMatcherConcurrency, CopiesRacingTheFirstBuildShareOnePlan) {
+  // Copies of one spec, all made before its plan exists, race the first
+  // compiled_plan() call from many threads: one build in total, and every
+  // copy, the original included, returns that one plan. Run under TSan in
+  // CI.
   constexpr int kThreads = 8;
-  for (int epoch = 1; epoch <= 5; ++epoch) {
-    std::vector<std::shared_ptr<const int>> seen(kThreads);
+  for (int round = 0; round < 20; ++round) {
+    const MappingSpec original = AmazonSpec();
+    const std::vector<MappingSpec> copies(kThreads, original);
+    const uint64_t built_before = CompiledPlanGlobalStats().plans_built;
+    std::vector<const CompiledRulePlan*> plans(kThreads, nullptr);
     std::latch start(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         start.arrive_and_wait();
-        seen[t] = shared.GetOrBuild(build);
+        plans[t] = copies[t].compiled_plan().get();
       });
     }
     for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(builds.load(), epoch) << "double build within one epoch";
-    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
-    EXPECT_EQ(shared.Peek(), seen[0]);
-    shared.Invalidate();
-    EXPECT_EQ(shared.Peek(), nullptr);
+    EXPECT_EQ(CompiledPlanGlobalStats().plans_built - built_before, 1u)
+        << "round " << round;
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(plans[t], plans[0]) << "copy " << t << " got its own plan";
+    }
+    EXPECT_EQ(original.compiled_plan().get(), plans[0]);
   }
 }
 

@@ -274,7 +274,7 @@ TEST(FederationService, FailedSourceOnAWorkerLeavesItsBatchMatesIntact) {
 /// breaker's fast-fail does.
 class DownTransport : public SourceTransport {
  public:
-  Result<Translation> Translate(const Query&, Trace*, uint64_t, MatchMemo*,
+  Result<Translation> Translate(const Query&, Trace*, uint64_t,
                                 const CancelToken*) override {
     return Status::Unavailable("connection refused");
   }

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "qmap/contexts/synthetic.h"
-#include "qmap/core/match_memo.h"
 #include "qmap/expr/parser.h"
 #include "qmap/expr/printer.h"
 #include "qmap/expr/query.h"
@@ -36,7 +35,6 @@
 namespace qmap {
 namespace {
 
-using testing::C;
 using testing::DeepEquals;
 using testing::InternToggle;
 using testing::Q;
@@ -260,14 +258,6 @@ TEST(Intern, MixedModeStructuralEqualityIsExact) {
   EXPECT_TRUE(canonical.StructurallyEquals(plain));
   EXPECT_TRUE(plain.StructurallyEquals(canonical));
   EXPECT_EQ(canonical.fingerprint(), plain.fingerprint());
-}
-
-TEST(MatchMemoKey, OrderSensitiveAndStable) {
-  std::vector<Constraint> ab = {C("[a = 1]"), C("[b = 2]")};
-  std::vector<Constraint> ba = {C("[b = 2]"), C("[a = 1]")};
-  EXPECT_EQ(MatchMemo::KeyOf(ab), MatchMemo::KeyOf(ab));
-  EXPECT_NE(MatchMemo::KeyOf(ab), MatchMemo::KeyOf(ba));
-  EXPECT_NE(MatchMemo::KeyOf(ab), MatchMemo::KeyOf({ab[0]}));
 }
 
 TEST(TranslationCacheKeyTest, TypedAndStringPathsCoexist) {

@@ -191,8 +191,7 @@ TEST(MatcherEquivalence, DisableToggleFallsBackToNaive) {
 }
 
 // End-to-end A/B: full translations (mapped query AND residue filter) must
-// be identical under both match engines (naive, compiled), with
-// the match memo on or off, in every combination — across all three
+// be identical under both match engines (naive, compiled) — across all three
 // algorithms.
 TEST(MatcherEquivalence, TranslationsIdenticalAcrossAccelerationModes) {
   const MatchEngine saved_engine = CurrentMatchEngine();
@@ -210,20 +209,17 @@ TEST(MatcherEquivalence, TranslationsIdenticalAcrossAccelerationModes) {
     std::vector<std::string> renderings;
     for (MatchEngine engine :
          {MatchEngine::kCompiled, MatchEngine::kNaive}) {
-      for (bool memo_on : {true, false}) {
-        SetMatchEngine(engine);
-        TranslatorOptions options;
-        options.algorithm = algorithm;
-        options.use_match_memo = memo_on;
-        Translator translator(AmazonSpec(), options);
-        std::string rendering;
-        for (const Query& query : queries) {
-          Result<Translation> t = translator.Translate(query);
-          ASSERT_TRUE(t.ok()) << t.status().ToString();
-          rendering += t->mapped.ToString() + " / " + t->filter.ToString() + "\n";
-        }
-        renderings.push_back(std::move(rendering));
+      SetMatchEngine(engine);
+      TranslatorOptions options;
+      options.algorithm = algorithm;
+      Translator translator(AmazonSpec(), options);
+      std::string rendering;
+      for (const Query& query : queries) {
+        Result<Translation> t = translator.Translate(query);
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        rendering += t->mapped.ToString() + " / " + t->filter.ToString() + "\n";
       }
+      renderings.push_back(std::move(rendering));
     }
     SetMatchEngine(saved_engine);
     for (size_t i = 1; i < renderings.size(); ++i) {

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "qmap/contexts/amazon.h"
 #include "qmap/contexts/faculty.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/obs/trace.h"
@@ -114,20 +115,15 @@ TEST(ObsService, MetricsRegistryIsPopulated) {
   options.num_threads = 4;
   options.obs.metrics = &registry;
   auto service = MakeFacultyService(options);
+  const size_t sources = service->num_sources();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(service->Translate(FacultyQuery()).ok());
   }
   EXPECT_EQ(registry.counter("qmap_translate_total").value(), 3u);
   EXPECT_EQ(registry.histogram("qmap_translate_latency_us").count(), 3u);
   // Cache: first call misses per source, later calls hit.
-  EXPECT_EQ(registry.counter("qmap_cache_misses_total").value(),
-            service->num_sources());
-  EXPECT_EQ(registry.counter("qmap_cache_hits_total").value(),
-            2 * service->num_sources());
-  // Cache-first: only the first, all-miss call reaches the pool (one task
-  // per source); the two all-hit calls are answered on the calling thread.
-  EXPECT_EQ(registry.histogram("qmap_pool_run_us").count(),
-            service->num_sources());
+  EXPECT_EQ(registry.counter("qmap_cache_misses_total").value(), sources);
+  EXPECT_EQ(registry.counter("qmap_cache_hits_total").value(), 2 * sources);
   // Per-phase span histograms are fed from the service's internal traces.
   EXPECT_GT(registry.histogram("qmap_span_service_translate_us").count(), 0u);
   EXPECT_GT(registry.histogram("qmap_span_source_translate_us").count(), 0u);
@@ -136,6 +132,30 @@ TEST(ObsService, MetricsRegistryIsPopulated) {
   EXPECT_NE(prom.find("qmap_translate_latency_us_bucket"), std::string::npos);
   EXPECT_NE(prom.find("qmap_span_tdqm_us"), std::string::npos) << prom;
   EXPECT_NE(prom.find("qmap_translate_total 3"), std::string::npos);
+
+  // Cache-first: only the first, all-miss call reaches the pool (one task
+  // per source); the two all-hit calls are answered on the calling thread.
+  // A pool thread records a task's run time after the task has released
+  // the caller, so the count is read once the service's pool has joined
+  // its threads.
+  service.reset();
+  EXPECT_EQ(registry.histogram("qmap_pool_run_us").count(), sources);
+}
+
+TEST(ObsService, MatchCountersAreExported) {
+  MetricsRegistry registry;
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.obs.metrics = &registry;
+  TranslationService service(options);
+  service.AddSource("amazon", AmazonSpec());
+  Query query = Q(
+      "([pyear = 1997] and ([pmonth = 5] or [pmonth = 6])) or "
+      "(([pyear = 1997] or [pmonth = 5]) and [pmonth = 6])");
+  ASSERT_TRUE(service.Translate(query).ok());
+  EXPECT_GT(registry.counter("qmap_match_pattern_attempts_total").value(), 0u);
+  EXPECT_GT(registry.counter("qmap_match_index_hits_total").value(), 0u);
+  EXPECT_GT(registry.counter("qmap_match_attempts_saved_total").value(), 0u);
 }
 
 TEST(ObsService, MetricsDoNotChangeResults) {

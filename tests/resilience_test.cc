@@ -996,7 +996,7 @@ class GroupTransport : public SourceTransport {
         log_(std::move(log)) {}
 
   Result<Translation> Translate(const Query& full, Trace* trace,
-                                uint64_t parent_span, MatchMemo*,
+                                uint64_t parent_span,
                                 const CancelToken* cancel) override {
     SourceTransport* self = this;
     return std::move(

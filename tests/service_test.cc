@@ -338,6 +338,23 @@ TEST(TranslationService, BatchMatchesIndividualTranslates) {
   EXPECT_EQ(stats.batch_duplicates, 3u);
 }
 
+TEST(TranslationService, UncachedBatchMatchesUnbatchedTranslations) {
+  // With the cache off, every member of the batch is translated afresh and
+  // must equal what another service's unbatched Translate returns for it.
+  auto batched = MakeService(1, false);
+  auto unbatched = MakeService(1, false);
+  const std::vector<Query> batch = TestQueries(6);
+  Result<std::vector<MediatorTranslation>> results =
+      batched->TranslateBatch(batch);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Result<MediatorTranslation> single = unbatched->Translate(batch[i]);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(Render((*results)[i]), Render(*single)) << "batch item " << i;
+  }
+}
+
 TEST(TranslationService, ViewConstraintsFlowIntoEverySource) {
   Mediator mediator = MakeFacultyMediator();
   TranslationService service;

@@ -193,6 +193,12 @@ struct MapperCase {
   MappingAlgorithm algorithm;
 };
 
+// gtest lists a parameterised test with its printed parameter. Printed as
+// raw bytes, a MapperCase shows the address of its name literal, which moves
+// whenever the binary's layout does; printed as the name, the listed test
+// name stays the same from build to build.
+void PrintTo(const MapperCase& mapper, std::ostream* os) { *os << mapper.name; }
+
 class SubsumptionHarness : public ::testing::TestWithParam<MapperCase> {};
 
 TEST_P(SubsumptionHarness, RandomQueriesSubsumeAndReconstruct) {

@@ -866,7 +866,7 @@ class GateTransport : public SourceTransport {
   explicit GateTransport(const MappingSpec& spec) : inner_(Translator(spec)) {}
 
   Result<Translation> Translate(const Query& full, Trace* trace,
-                                uint64_t parent_span, MatchMemo* memo,
+                                uint64_t parent_span,
                                 const CancelToken* cancel) override {
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -874,7 +874,7 @@ class GateTransport : public SourceTransport {
       changed_.notify_all();
       changed_.wait(lock, [&] { return open_; });
     }
-    return inner_.Translate(full, trace, parent_span, memo, cancel);
+    return inner_.Translate(full, trace, parent_span, cancel);
   }
 
   void WaitEntered(int calls) {
@@ -1212,12 +1212,7 @@ TEST(QmapServer, ConcurrentHitAndMissFramesWhileTheServiceSwaps) {
   // Four clients send frames that hit (a small repeated set) and frames
   // that miss (fresh queries), over a worker whose service is swapped
   // underneath them. Every answer must be the reference translation.
-  // The specs' rule plans are built before any thread starts, and every
-  // service copies them built: racing first builds of a plan trip a known
-  // ThreadSanitizer report on gcc 12's std::atomic<std::shared_ptr> (see
-  // LazyShared), which is not what this test is about.
   auto federation = SyntheticFederation();
-  for (auto& [name, spec] : federation) spec.compiled_plan();
   const auto make_service = [&federation] {
     ServiceOptions service_options;
     service_options.num_threads = 2;
