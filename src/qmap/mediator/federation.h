@@ -2,14 +2,11 @@
 #define QMAP_MEDIATOR_FEDERATION_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "qmap/core/translator.h"
 #include "qmap/relalg/ops.h"
-#include "qmap/service/resilience.h"
-#include "qmap/service/source_transport.h"
 
 namespace qmap {
 
@@ -27,11 +24,6 @@ class FederatedCatalog {
   struct Member {
     std::string name;
     Translator translator;
-    /// Where this member's translation runs. Left null (the common case),
-    /// AddMember wraps `translator` into an InProcessTransport; set
-    /// explicitly (e.g. a RemoteTransport) to translate on a shard worker —
-    /// `translator` is then ignored by Query().
-    std::shared_ptr<SourceTransport> transport;
     /// Converts a mediator tuple to the member's vocabulary.
     std::function<Tuple(const Tuple&)> convert;
     /// Optional member-specific constraint semantics (e.g. Amazon author
@@ -42,12 +34,7 @@ class FederatedCatalog {
     TupleSet data;
   };
 
-  void AddMember(Member member) {
-    if (member.transport == nullptr) {
-      member.transport = std::make_shared<InProcessTransport>(member.translator);
-    }
-    members_.push_back(std::move(member));
-  }
+  void AddMember(Member member) { members_.push_back(std::move(member)); }
   const std::vector<Member>& members() const { return members_; }
 
   /// Per-member result detail from one federated query.
@@ -61,33 +48,12 @@ class FederatedCatalog {
   struct FederatedResult {
     std::vector<MemberResult> per_member;
     TupleSet combined;  // union of the filtered member results
-    /// Members dropped (their tuples are missing from `combined`) or
-    /// answering degraded (their tuples are complete: the widened pushed
-    /// query over-fetches and F_i filters the excess). Union integration
-    /// degrades gracefully: every surviving member's contribution is exact.
-    PartialResult partial;
   };
 
   /// Translates Q for every member, queries each (push S_i(Q) against the
   /// member's converted data, filter with F_i), and unions the results.
-  ///
-  /// With resilience enabled (SetResilience), each member's translate runs
-  /// under retry/breaker/deadline guards, and per-tuple data conversion is
-  /// fault-injectable under the key "<member>.convert"; failing members are
-  /// dropped into `partial` instead of failing the query. The drop and
-  /// min_sources decisions are PartialResultGather's (mediator.h), shared
-  /// with Mediator and TranslationService. Member names key the gathered
-  /// translations, so they must be distinct.
+  /// The first member whose translation fails fails the call.
   Result<FederatedResult> Query(const qmap::Query& query) const;
-
-  /// Enables graceful degradation for Query (see ResilienceOptions). Null
-  /// clock/injector/metrics mean system clock / no faults / no metrics;
-  /// non-null pointers must outlive the catalog.
-  void SetResilience(const ResilienceOptions& options,
-                     ResilienceClock* clock = nullptr,
-                     FaultInjector* injector = nullptr,
-                     MetricsRegistry* metrics = nullptr);
-  ResilienceManager* resilience() const { return resilience_.get(); }
 
   /// Ground truth: Q evaluated directly over the union of all member data
   /// in mediator vocabulary.  Query().combined must equal this (Eq. 3).
@@ -95,7 +61,6 @@ class FederatedCatalog {
 
  private:
   std::vector<Member> members_;
-  std::shared_ptr<ResilienceManager> resilience_;
 };
 
 }  // namespace qmap

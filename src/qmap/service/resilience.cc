@@ -208,27 +208,6 @@ Translation DegradeTranslation(const Query& original, const Translation& t,
 }
 
 // ---------------------------------------------------------------------------
-// PartialResult
-
-std::string PartialResult::ToString() const {
-  std::string out;
-  if (!failed.empty()) {
-    out += "failed:";
-    for (const SourceFailure& f : failed) {
-      out += " " + f.source + " (" + f.status.ToString() + ", " +
-             std::to_string(f.attempts) + " attempts)";
-    }
-  }
-  if (!degraded.empty()) {
-    if (!out.empty()) out += "; ";
-    out += "degraded:";
-    for (const std::string& name : degraded) out += " " + name;
-  }
-  if (out.empty()) out = "complete";
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // ResilienceManager
 
 ResilienceManager::ResilienceManager(ResilienceOptions options,
@@ -288,25 +267,6 @@ void ResilienceManager::NoteBreakerEvent(BreakerEvent event) {
       if (closed_counter_ != nullptr) closed_counter_->Inc();
       return;
   }
-}
-
-Result<Translation> ResilienceManager::GuardedTranslate(
-    const std::string& source, const Query& original,
-    const CancelToken* cancel,
-    const std::function<Result<Translation>()>& attempt, CallReport* report,
-    Trace* trace, uint64_t parent_span) {
-  CallReport local_report;
-  const std::string_view name = source;
-  std::vector<Result<Translation>> out = GuardedTranslateGroup(
-      std::span(&name, 1), original, cancel,
-      [&attempt](std::span<const size_t>) {
-        std::vector<Result<Translation>> one;
-        one.push_back(attempt());
-        return one;
-      },
-      std::span(report != nullptr ? report : &local_report, 1), trace,
-      parent_span);
-  return std::move(out.front());
 }
 
 namespace {

@@ -199,30 +199,6 @@ Translation DegradeTranslation(const Query& original, const Translation& t,
                                uint32_t level);
 
 // ---------------------------------------------------------------------------
-// Partial results
-
-/// One dropped source in a partial federated translation.
-struct SourceFailure {
-  std::string source;
-  Status status;
-  uint32_t attempts = 0;  // attempts made before giving up (0 = rejected
-                          // before any attempt, e.g. breaker open)
-};
-
-/// The degradation report attached to a federated result. `failed` lists
-/// sources dropped from the answer with the Status that dropped them;
-/// `degraded` lists sources that answered with a widened (still subsuming)
-/// translation. Both are in fan-out (source-name) order.
-struct PartialResult {
-  std::vector<SourceFailure> failed;
-  std::vector<std::string> degraded;
-
-  bool complete() const { return failed.empty(); }
-  /// e.g. "failed: S1 (Unavailable: injected fault, 3 attempts); degraded: S2"
-  std::string ToString() const;
-};
-
-// ---------------------------------------------------------------------------
 // Policy + manager
 
 struct ResilienceOptions {
@@ -230,11 +206,10 @@ struct ResilienceOptions {
   /// original zero-overhead path; a configured FaultInjector implies the
   /// guarded path even when this is false.
   bool enabled = false;
-  /// Drop failing sources into PartialResult instead of failing the whole
-  /// call. Only resilience-category failures qualify (IsSourceDropFailure).
-  bool allow_partial = true;
   /// Minimum surviving sources for a partial result to be served; fewer
-  /// survivors fail the call with Unavailable.
+  /// survivors fail the call with Unavailable. A source is dropped into
+  /// MediatorTranslation::partial, rather than failing the call, only for a
+  /// resilience-category failure (IsSourceDropFailure).
   size_t min_sources = 1;
   /// Per-source-call budget, covering all retry attempts and backoffs for
   /// that source (0 = none).
@@ -267,8 +242,7 @@ struct ResilienceCounters {
 /// Per-federation resilience state: one circuit breaker per source, the
 /// retry/backoff policy, deadline propagation, the fault-injection hook, and
 /// the qmap_resilience_* counters. One manager is shared by all requests of
-/// a TranslationService / Mediator / FederatedCatalog; all methods are
-/// thread-safe.
+/// a TranslationService; all methods are thread-safe.
 class ResilienceManager {
  public:
   /// `clock`, `injector`, `metrics` may each be null (system clock, no
@@ -286,38 +260,29 @@ class ResilienceManager {
     bool degraded = false;
   };
 
-  /// The one-source case of GuardedTranslateGroup: runs `attempt` (the
-  /// real per-source translation of `original`) under the source's circuit
-  /// breaker, the retry policy with decorrelated backoff, fault injection,
-  /// and the deadline budget from `cancel` (may be null) narrowed by
-  /// source_deadline_us. With a trace attached, each try is a
-  /// "retry.attempt" span under `parent_span` and each wait a
-  /// "retry.backoff" span.
-  Result<Translation> GuardedTranslate(
-      const std::string& source, const Query& original,
-      const CancelToken* cancel,
-      const std::function<Result<Translation>()>& attempt, CallReport* report,
-      Trace* trace = nullptr, uint64_t parent_span = 0);
-
   /// One call translating the group members listed by index (into the
   /// guarded `sources`); must return one result per listed member, in
   /// order.
   using GroupAttempt = std::function<std::vector<Result<Translation>>(
       std::span<const size_t> members)>;
 
-  /// The guard over sources that one call translates together (a
-  /// front-end's remote sources on one worker). Each round, every pending
+  /// The guard over sources that one call translates together: one local
+  /// source on its own, or a front-end's remote sources on one worker. It
+  /// runs `attempt` (the real translation of `original`) under each
+  /// source's circuit breaker, the retry policy with decorrelated backoff,
+  /// fault injection, and the deadline budget. Each round, every pending
   /// source checks cancellation, the budget and its own breaker, and draws
   /// its own injected fault; the sources that pass join one `attempt`. Each
   /// outcome goes to its own breaker and its own report (`reports` has one
   /// slot per source). Only retryable failures stay pending, with one
-  /// backoff per round, capped by the budget. One budget — `cancel`'s,
-  /// narrowed by source_deadline_us — covers every round. A round's
+  /// backoff per round, capped by the budget. One budget — `cancel`'s (may
+  /// be null), narrowed by source_deadline_us — covers every round. A round's
   /// injected stalls are slept once, for the longest: the call waits for
   /// its slowest member. When that exhausts the budget no call is made, the
   /// stalled sources fail with DeadlineExceeded and so does every other
   /// source of the round (docs/ROBUSTNESS.md). Each round is one
-  /// "retry.attempt" span (attr `source` lists the round's sources).
+  /// "retry.attempt" span under `parent_span` (attr `source` lists the
+  /// round's sources) and each backoff one "retry.backoff" span.
   /// Returns one result per source, in order.
   std::vector<Result<Translation>> GuardedTranslateGroup(
       std::span<const std::string_view> sources, const Query& original,
@@ -335,7 +300,7 @@ class ResilienceManager {
       const;
 
   /// Counts one partial result served (the per-failed-source counting
-  /// happens inside GuardedTranslate's callers via the report).
+  /// happens inside GuardedTranslateGroup).
   void RecordPartialResult(size_t num_failed_sources);
 
   /// The whole-request budget: arms `storage` with request_deadline_us from

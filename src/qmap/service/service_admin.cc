@@ -155,10 +155,8 @@ ServiceStatus TranslationService::StatusSnapshot() const {
   out.store_ok = !out.store_configured || store_open_status_.ok();
   out.warmed_up = warmed_up_.load(std::memory_order_acquire);
   out.draining = draining();
-  out.ready = !out.draining &&
-              out.store_ok &&
-              (store_ == nullptr || !options_.store.replay_on_boot ||
-               out.warmed_up);
+  out.ready = !out.draining && out.store_ok &&
+              (store_ == nullptr || out.warmed_up);
   out.match_engine = MatchEngineName(CurrentMatchEngine());
   out.stats = stats();
   out.cache_entries = options_.enable_cache ? cache_.size() : 0;

@@ -14,9 +14,9 @@ namespace qmap {
 class Trace;
 
 /// Where a source's per-query translation actually runs. Every source in a
-/// TranslationService / FederatedCatalog sits behind this interface, so the
-/// caller's fan-out, resilience guards, caching, and partial-result merge
-/// are identical whether the source's rule matching happens in this process
+/// TranslationService sits behind this interface, so the service's fan-out,
+/// resilience guards, caching, and partial-result merge are identical
+/// whether the source's rule matching happens in this process
 /// (InProcessTransport wrapping a Translator) or on a remote shard worker
 /// (RemoteTransport speaking the wire protocol). A dead or slow remote
 /// surfaces as an Unavailable/DeadlineExceeded status — exactly the failure

@@ -87,10 +87,8 @@ class TranslationCache {
   ///
   /// Lifetime: the registry must outlive either the cache or the
   /// attachment. An owner destroying the registry first must sever the
-  /// bridge with DetachMetricsIf(&registry) beforehand — the same
-  /// detach-on-dtor discipline the intern tables use (see
-  /// qmap/expr/intern.h); TranslationService does this for the registry it
-  /// is configured with.
+  /// bridge with DetachMetricsIf(&registry) beforehand; TranslationService's
+  /// destructor does this for the registry it is configured with.
   void AttachMetrics(MetricsRegistry* registry);
 
   /// Detaches the metric bridge only if `registry` is the currently

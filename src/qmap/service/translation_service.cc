@@ -10,6 +10,7 @@
 #include "qmap/expr/printer.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/obs/trace.h"
+#include "qmap/service/partial_result.h"
 
 namespace qmap {
 namespace {
@@ -388,8 +389,7 @@ void TranslationService::FillTiers(const TranslationCacheKey& key,
                                    bool degraded, Trace* trace,
                                    uint64_t parent_span) const {
   if (!translation.ok()) {
-    if (store_ != nullptr && options_.store.cache_negatives &&
-        IsPermanentFailure(translation.status().code())) {
+    if (store_ != nullptr && IsPermanentFailure(translation.status().code())) {
       store_->PutNegative(key, translation.status()).ok();
     }
     return;
@@ -704,7 +704,7 @@ Result<MediatorTranslation> TranslationService::TranslateObserved(
 }
 
 void TranslationService::WarmUpFromStoreOnce() const {
-  if (store_ == nullptr || !options_.store.replay_on_boot) return;
+  if (store_ == nullptr) return;
   std::call_once(warmup_once_, [this] {
     // Only entries belonging to a registered source under its *current*
     // rule-set fingerprint are replayed; everything else on disk is either

@@ -112,8 +112,9 @@ struct ServiceOptions {
   /// Persistent translation store under the RAM cache (qmap/store): misses
   /// fall through to disk, completed translations are persisted, and on the
   /// first Translate the store's live entries for the registered sources are
-  /// replayed into the RAM cache (store.replay_on_boot) so a restarted
-  /// service comes back warm. Disabled when store.path is empty (the
+  /// replayed into the RAM cache so a restarted service comes back warm.
+  /// Permanent per-source failures are persisted as negative records;
+  /// transient ones never are. Disabled when store.path is empty (the
   /// default) or when enable_cache is false. An Open failure (corrupt
   /// directory, permissions) degrades to cache-only operation rather than
   /// failing construction; see store_open_status().
@@ -602,7 +603,7 @@ class TranslationService {
   void RegisterAdminHandlers(AdminHttpServer* server,
                              const AdminOptions& options);
 
-  /// One-time warm-up replay (options_.store.replay_on_boot): runs on the
+  /// One-time warm-up replay of the store into the RAM cache: runs on the
   /// first Translate, after setup, so every registered source's
   /// (context, rule-set) pair is known. Only entries matching a currently
   /// registered pair are replayed — entries from removed sources or old

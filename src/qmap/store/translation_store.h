@@ -24,17 +24,6 @@ struct StoreOptions {
   /// Path of the record log. At the service level an empty path disables
   /// the disk tier entirely.
   std::string path;
-  /// Warm-up replay: when the owning TranslationService boots, live store
-  /// entries for its registered sources are replayed into the RAM cache so
-  /// a restart comes back warm instead of translating through a cold-start
-  /// storm (ROADMAP item 2).
-  bool replay_on_boot = true;
-  /// Persist permanent per-source failures (invalid/unsupported/not-found/
-  /// parse errors) as negative records, so a query that cannot translate
-  /// for a source is answered from the index instead of re-running the
-  /// matcher just to fail again. Transient resilience-category failures
-  /// (unavailable, deadline, cancelled) are never persisted.
-  bool cache_negatives = true;
   /// fsync after every Put. Off by default: the log is torn-tail safe
   /// either way (a crash loses at most the unsynced suffix, never corrupts
   /// the prefix), so most deployments prefer throughput and rely on the

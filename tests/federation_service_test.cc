@@ -19,7 +19,6 @@
 #include "qmap/service/fault_injection.h"
 #include "qmap/service/source_transport.h"
 #include "qmap/service/translation_service.h"
-#include "qmap/wire/host_map.h"
 #include "qmap/wire/messages.h"
 #include "qmap/wire/qmap_server.h"
 #include "qmap/wire/remote_transport.h"
@@ -83,7 +82,7 @@ std::unique_ptr<TranslationService> SingleProcessService() {
   return service;
 }
 
-/// One shard worker serving the subset of sources a HostMap assigns to it.
+/// One shard worker serving a subset of the federation's sources.
 struct Worker {
   std::shared_ptr<TranslationService> service;
   std::unique_ptr<QmapServer> server;
@@ -154,13 +153,9 @@ TEST(FederationService, ThreeShapesTranslateByteIdentically) {
   }
 
   // Shape (c): two real shard workers, sources assigned round-robin.
-  std::vector<std::string> names;
-  for (const auto& [name, spec] : federation) names.push_back(name);
-  HostMap host_map = HostMap::StaticShard(names, {"w0", "w1"});
   std::vector<std::pair<std::string, MappingSpec>> shard0, shard1;
-  for (const auto& [name, spec] : federation) {
-    (*host_map.EndpointFor(name) == "w0" ? shard0 : shard1)
-        .emplace_back(name, spec);
+  for (size_t i = 0; i < federation.size(); ++i) {
+    (i % 2 == 0 ? shard0 : shard1).push_back(federation[i]);
   }
   ASSERT_FALSE(shard0.empty());
   ASSERT_FALSE(shard1.empty());

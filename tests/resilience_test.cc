@@ -20,7 +20,6 @@
 #include "qmap/contexts/faculty.h"
 #include "qmap/contexts/synthetic.h"
 #include "qmap/expr/printer.h"
-#include "qmap/mediator/federation.h"
 #include "qmap/mediator/mediator.h"
 #include "qmap/obs/metrics.h"
 #include "qmap/service/fault_injection.h"
@@ -696,129 +695,36 @@ TEST(ResilientService, ExpiredDeadlineMidFanOutIsMemorySafe) {
 }
 
 // ---------------------------------------------------------------------------
-// Federation (union integration)
-
-TEST(ResilientFederation, DroppedMemberYieldsUnionOfSurvivors) {
-  SyntheticFederationOptions fed;
-  fed.num_members = 3;
-  fed.tuples_per_member = 24;
-  Result<FederatedCatalog> reference = MakeSyntheticFederation(fed);
-  ASSERT_TRUE(reference.ok());
-  Result<FederatedCatalog> faulty = MakeSyntheticFederation(fed);
-  ASSERT_TRUE(faulty.ok());
-  FaultInjector injector(7);
-  injector.FailNext("S1", 1000);
-  ManualClock clock;
-  ResilienceOptions resilience;
-  resilience.retry.max_attempts = 2;
-  resilience.enabled = true;
-  faulty->SetResilience(resilience, &clock, &injector);
-
-  Query q = Q("[a0 = 1] or ([a1 = 2] and [a2 = 3])");
-  Result<FederatedCatalog::FederatedResult> want = reference->Query(q);
-  Result<FederatedCatalog::FederatedResult> got = faulty->Query(q);
-  ASSERT_TRUE(want.ok() && got.ok());
-  ASSERT_EQ(got->partial.failed.size(), 1u);
-  EXPECT_EQ(got->partial.failed[0].source, "S1");
-
-  // The partial union is exactly the no-fault union minus S1's contribution.
-  TupleSet expected;
-  for (const auto& member : want->per_member) {
-    if (member.name != "S1") expected = Union(expected, member.tuples);
-  }
-  auto render = [](const TupleSet& tuples) {
-    std::vector<std::string> rows;
-    rows.reserve(tuples.size());
-    for (const Tuple& t : tuples) rows.push_back(t.ToString());
-    std::sort(rows.begin(), rows.end());
-    std::string out;
-    for (const std::string& row : rows) out += row + "\n";
-    return out;
-  };
-  EXPECT_EQ(render(got->combined), render(expected));
-}
-
-TEST(ResilientFederation, ConversionFaultDropsTheMember) {
-  SyntheticFederationOptions fed;
-  fed.num_members = 3;
-  Result<FederatedCatalog> catalog = MakeSyntheticFederation(fed);
-  ASSERT_TRUE(catalog.ok());
-  FaultInjector injector(7);
-  // The translation succeeds; the *data conversion* path is what fails.
-  injector.FailNext("S0.convert", 1);
-  ManualClock clock;
-  ResilienceOptions resilience;
-  resilience.enabled = true;
-  catalog->SetResilience(resilience, &clock, &injector);
-
-  Result<FederatedCatalog::FederatedResult> got = catalog->Query(Q("[a0 = 1]"));
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->partial.failed.size(), 1u);
-  EXPECT_EQ(got->partial.failed[0].source, "S0");
-  EXPECT_EQ(got->per_member.size(), 2u);
-
-  // The scripted conversion fault is one-shot: the next query is complete.
-  Result<FederatedCatalog::FederatedResult> next = catalog->Query(Q("[a0 = 2]"));
-  ASSERT_TRUE(next.ok());
-  EXPECT_TRUE(next->partial.complete());
-}
-
-TEST(ResilientFederation, DegradedMemberStillAnswersExactly) {
-  // Union integration with a degraded member: the widened pushed query
-  // over-fetches at the member, but F_i filters the excess — the member's
-  // contribution (and so the union) is unchanged.
-  SyntheticFederationOptions fed;
-  fed.num_members = 3;
-  fed.tuples_per_member = 24;
-  Result<FederatedCatalog> reference = MakeSyntheticFederation(fed);
-  Result<FederatedCatalog> faulty = MakeSyntheticFederation(fed);
-  ASSERT_TRUE(reference.ok() && faulty.ok());
-  FaultInjector injector(7);
-  injector.DegradeNext("S0", 1000);
-  ManualClock clock;
-  ResilienceOptions resilience;
-  resilience.enabled = true;
-  faulty->SetResilience(resilience, &clock, &injector);
-
-  Query q = Q("[a0 = 1] and ([a1 = 2] or [a2 = 0])");
-  Result<FederatedCatalog::FederatedResult> want = reference->Query(q);
-  Result<FederatedCatalog::FederatedResult> got = faulty->Query(q);
-  ASSERT_TRUE(want.ok() && got.ok());
-  EXPECT_EQ(got->partial.degraded, std::vector<std::string>{"S0"});
-  ASSERT_EQ(got->per_member.size(), want->per_member.size());
-  for (size_t i = 0; i < got->per_member.size(); ++i) {
-    // Same final tuples per member; the degraded member fetched at least as
-    // many raw hits as the exact run before filtering.
-    EXPECT_EQ(got->per_member[i].tuples.size(), want->per_member[i].tuples.size());
-    EXPECT_GE(got->per_member[i].raw_hits, want->per_member[i].raw_hits);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Mediator (join integration)
 
 TEST(ResilientMediator, PartialTranslationIsReportedButNotExecutable) {
-  Mediator reference = MakeFacultyMediator();
+  // A service over the mediator's sources, one of them failing, serves a
+  // partial translation; the mediator's own pipeline must refuse to run it.
   Mediator mediator = MakeFacultyMediator();
   ASSERT_GE(mediator.sources().size(), 2u);
   const std::string victim = mediator.sources()[0].name();
   FaultInjector injector(7);
   injector.FailNext(victim, 1000);
   ManualClock clock;
-  ResilienceOptions resilience;
-  resilience.enabled = true;
-  resilience.retry.max_attempts = 2;
-  mediator.SetResilience(resilience, &clock, &injector);
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.enable_cache = false;
+  options.resilience.enabled = true;
+  options.resilience.retry.max_attempts = 2;
+  options.fault_injector = &injector;
+  options.clock = &clock;
+  TranslationService service(options);
+  service.AddSourcesFrom(mediator);
 
   Query q = Q("[fac.ln = \"Ullman\"]");
-  Result<MediatorTranslation> got = mediator.Translate(q);
+  Result<MediatorTranslation> got = service.Translate(q);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ(got->partial.failed.size(), 1u);
   EXPECT_EQ(got->partial.failed[0].source, victim);
   EXPECT_EQ(got->stats.retries, 1u);
 
-  // Surviving sources translate exactly as in the no-fault run.
-  Result<MediatorTranslation> want = reference.Translate(q);
+  // Surviving sources translate exactly as the fault-free mediator does.
+  Result<MediatorTranslation> want = mediator.Translate(q);
   ASSERT_TRUE(want.ok());
   for (const auto& [name, translation] : got->per_source) {
     EXPECT_EQ(ToParseableText(translation.mapped),
@@ -839,58 +745,64 @@ TEST(ResilientMediator, PartialTranslationIsReportedButNotExecutable) {
 
 constexpr int kGatherSources = 3;
 
-// One synthetic federation built three ways — a FederatedCatalog (union), a
-// Mediator (join), and a TranslationService registered from that Mediator —
-// each with its own identically scripted injector and clock. All three
-// route every source outcome through the same gather, so they must make the
-// same drop / gate / fail decisions.
-struct ThreeCallers {
-  FaultInjector catalog_faults{7};
-  FaultInjector mediator_faults{7};
-  FaultInjector service_faults{7};
-  ManualClock catalog_clock;
-  ManualClock mediator_clock;
-  ManualClock service_clock;
-  FederatedCatalog catalog;
-  Mediator mediator;
-  std::unique_ptr<TranslationService> service;
-};
-
-std::unique_ptr<ThreeCallers> MakeThreeCallers(
-    const std::function<void(FaultInjector&)>& script,
-    ResilienceOptions resilience = {}) {
-  auto callers = std::make_unique<ThreeCallers>();
-  script(callers->catalog_faults);
-  script(callers->mediator_faults);
-  script(callers->service_faults);
-  resilience.enabled = true;
-  resilience.retry.max_attempts = 2;
-
+/// The synthetic federation's members S0..S2 as a Mediator, leaving out
+/// the sources named in `skip`.
+Mediator GatherMediator(const std::vector<std::string>& skip = {}) {
   SyntheticFederationOptions fed;
   fed.num_members = kGatherSources;
-  Result<FederatedCatalog> catalog = MakeSyntheticFederation(fed);
-  EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
-  if (catalog.ok()) callers->catalog = *std::move(catalog);
-  callers->catalog.SetResilience(resilience, &callers->catalog_clock,
-                                 &callers->catalog_faults);
-
+  Mediator mediator;
   for (int m = 0; m < kGatherSources; ++m) {
+    const std::string name = "S" + std::to_string(m);
+    if (std::find(skip.begin(), skip.end(), name) != skip.end()) continue;
     Result<MappingSpec> spec = MakeSyntheticSpec(SyntheticMemberOptions(fed, m));
     EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-    callers->mediator.AddSource(
-        SourceContext("S" + std::to_string(m), *std::move(spec)));
+    mediator.AddSource(SourceContext(name, *std::move(spec)));
   }
-  callers->mediator.SetResilience(resilience, &callers->mediator_clock,
-                                  &callers->mediator_faults);
+  return mediator;
+}
 
-  ServiceOptions options;
-  options.num_threads = 1;
-  options.enable_cache = false;
-  options.resilience = resilience;
-  options.fault_injector = &callers->service_faults;
-  options.clock = &callers->service_clock;
-  callers->service = std::make_unique<TranslationService>(options);
-  callers->service->AddSourcesFrom(callers->mediator);
+/// One way into the service's partial-result gather, on its own service
+/// with its own fault script and clock.
+struct GatherCaller {
+  FaultInjector faults{7};
+  ManualClock clock;
+  std::unique_ptr<TranslationService> service;
+  bool batch = false;
+
+  Result<MediatorTranslation> Translate(const Query& q) const {
+    if (!batch) return service->Translate(q);
+    Result<std::vector<MediatorTranslation>> out =
+        service->TranslateBatch(std::span(&q, 1));
+    if (!out.ok()) return out.status();
+    return std::move(out->front());
+  }
+};
+
+// The three callers of the gather: Translate run inline, Translate fanned
+// out over a pool, and TranslateBatch. Each gets the same federation and an
+// identically scripted injector, so all three must make the same drop /
+// gate / fail decisions.
+std::vector<std::unique_ptr<GatherCaller>> MakeThreeCallers(
+    const std::function<void(FaultInjector&)>& script,
+    ResilienceOptions resilience = {}) {
+  resilience.enabled = true;
+  resilience.retry.max_attempts = 2;
+  const Mediator mediator = GatherMediator();
+  std::vector<std::unique_ptr<GatherCaller>> callers;
+  for (int k = 0; k < 3; ++k) {
+    auto caller = std::make_unique<GatherCaller>();
+    script(caller->faults);
+    ServiceOptions options;
+    options.num_threads = k == 1 ? 4 : 1;
+    options.enable_cache = false;
+    options.resilience = resilience;
+    options.fault_injector = &caller->faults;
+    options.clock = &caller->clock;
+    caller->service = std::make_unique<TranslationService>(options);
+    caller->service->AddSourcesFrom(mediator);
+    caller->batch = k == 2;
+    callers.push_back(std::move(caller));
+  }
   return callers;
 }
 
@@ -904,35 +816,40 @@ std::vector<std::string> FailedNames(const PartialResult& partial) {
 
 TEST(ResilientGather, DroppedSourcesAreReportedAlikeByAllThreeCallers) {
   const Query q = Q("([a0 = 1] or [a1 = 2]) and [a2 = 3] and [a3 = 0]");
+  Result<MediatorTranslation> fault_free = GatherMediator().Translate(q);
+  ASSERT_TRUE(fault_free.ok()) << fault_free.status().ToString();
   const std::vector<std::vector<std::string>> victim_sets = {{"S1"},
                                                             {"S0", "S2"}};
   for (const std::vector<std::string>& victims : victim_sets) {
     SCOPED_TRACE("victims: " + std::to_string(victims.size()));
+    Result<MediatorTranslation> survivors_only =
+        GatherMediator(victims).Translate(q);
+    ASSERT_TRUE(survivors_only.ok()) << survivors_only.status().ToString();
     auto callers = MakeThreeCallers([&](FaultInjector& faults) {
       for (const std::string& victim : victims) faults.FailNext(victim, 1000);
     });
-    Result<FederatedCatalog::FederatedResult> federated =
-        callers->catalog.Query(q);
-    Result<MediatorTranslation> mediated = callers->mediator.Translate(q);
-    Result<MediatorTranslation> served = callers->service->Translate(q);
-    ASSERT_TRUE(federated.ok()) << federated.status().ToString();
-    ASSERT_TRUE(mediated.ok()) << mediated.status().ToString();
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-
-    EXPECT_EQ(FailedNames(federated->partial), victims);
-    EXPECT_EQ(FailedNames(mediated->partial), victims);
-    EXPECT_EQ(FailedNames(served->partial), victims);
-    for (const SourceFailure& failure : mediated->partial.failed) {
-      EXPECT_EQ(failure.status.code(), StatusCode::kUnavailable);
+    for (const auto& caller : callers) {
+      Result<MediatorTranslation> got = caller->Translate(q);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(FailedNames(got->partial), victims);
+      for (const SourceFailure& failure : got->partial.failed) {
+        EXPECT_EQ(failure.status.code(), StatusCode::kUnavailable);
+      }
+      // The survivors translate as in the fault-free run...
+      EXPECT_EQ(got->per_source.size(),
+                static_cast<size_t>(kGatherSources) - victims.size());
+      for (const auto& [name, translation] : got->per_source) {
+        const Translation& want = fault_free->per_source.at(name);
+        EXPECT_EQ(ToParseableText(translation.mapped),
+                  ToParseableText(want.mapped));
+        EXPECT_EQ(ToParseableText(translation.filter),
+                  ToParseableText(want.filter));
+      }
+      // ...and F is the F of a federation of the survivors alone.
+      EXPECT_EQ(ToParseableText(got->filter),
+                ToParseableText(survivors_only->filter));
+      EXPECT_EQ(caller->service->resilience()->counters().partial_results, 1u);
     }
-    // Same survivors, same per-source translations, same F over them.
-    EXPECT_EQ(Render(*mediated), Render(*served));
-    EXPECT_EQ(federated->per_member.size(),
-              static_cast<size_t>(kGatherSources) - victims.size());
-
-    EXPECT_EQ(callers->catalog.resilience()->counters().partial_results, 1u);
-    EXPECT_EQ(callers->mediator.resilience()->counters().partial_results, 1u);
-    EXPECT_EQ(callers->service->resilience()->counters().partial_results, 1u);
   }
 }
 
@@ -942,15 +859,13 @@ TEST(ResilientGather, MinSourcesGateFailsAllThreeCallers) {
   auto callers = MakeThreeCallers(
       [](FaultInjector& faults) { faults.FailNext("S1", 1000); }, resilience);
   const Query q = Q("[a0 = 1] and [a2 = 3]");
-  const Status statuses[] = {callers->catalog.Query(q).status(),
-                             callers->mediator.Translate(q).status(),
-                             callers->service->Translate(q).status()};
-  for (const Status& status : statuses) {
+  for (const auto& caller : callers) {
+    const Status status = caller->Translate(q).status();
     EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
     EXPECT_NE(status.ToString().find("2 of 3"), std::string::npos)
         << status.ToString();
+    EXPECT_EQ(caller->service->resilience()->counters().partial_results, 0u);
   }
-  EXPECT_EQ(callers->mediator.resilience()->counters().partial_results, 0u);
 }
 
 TEST(ResilientGather, PermanentFailureFailsAllThreeCallers) {
@@ -960,10 +875,8 @@ TEST(ResilientGather, PermanentFailureFailsAllThreeCallers) {
     faults.FailNext("S1", 1000, Status::InvalidArgument("broken spec"));
   });
   const Query q = Q("[a0 = 1] and [a2 = 3]");
-  const Status statuses[] = {callers->catalog.Query(q).status(),
-                             callers->mediator.Translate(q).status(),
-                             callers->service->Translate(q).status()};
-  for (const Status& status : statuses) {
+  for (const auto& caller : callers) {
+    const Status status = caller->Translate(q).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   }
 }
