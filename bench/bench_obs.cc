@@ -3,6 +3,11 @@
 // question each benchmark answers:
 //
 //   TranslateObsOff        — the floor: no registry, no slow log, no ring.
+//   TranslateMetricsOnly   — a metrics registry alone: what every deployment
+//                            that exports /metrics pays. The service feeds
+//                            its stage histograms from clock reads and
+//                            records no trace; CI pins it within 2x of the
+//                            floor (run-internal --max-ratio).
 //   TranslateTraceRing/N   — trace ring enabled with head sampling every
 //                            N-th query (N=16 is the default cadence; N=1 is
 //                            the worst case: every query builds and retains a
@@ -91,6 +96,15 @@ void TranslateObsOff(benchmark::State& state) {
   RunWorkload(state, *service);
 }
 BENCHMARK(TranslateObsOff);
+
+void TranslateMetricsOnly(benchmark::State& state) {
+  static qmap::MetricsRegistry registry;  // shared; benchmark reruns add to it
+  qmap::ObsOptions obs;
+  obs.metrics = &registry;
+  auto service = MakeService(obs);
+  RunWorkload(state, *service);
+}
+BENCHMARK(TranslateMetricsOnly);
 
 void TranslateTraceRing(benchmark::State& state) {
   qmap::ObsOptions obs;

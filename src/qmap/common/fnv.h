@@ -1,8 +1,10 @@
 #ifndef QMAP_COMMON_FNV_H_
 #define QMAP_COMMON_FNV_H_
 
+#include <bit>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace qmap {
@@ -53,6 +55,36 @@ class Fnv64 {
 
 /// One-shot FNV-1a 64 of a byte string.
 inline uint64_t Fnv64Hash(std::string_view s) { return Fnv64().Add(s).value(); }
+
+/// One-shot 64-bit hash of a byte string that walks it a word at a time:
+/// each 64-bit word, loaded little-endian so every host agrees, is folded in
+/// as h = (h ^ w) * 0x9E3779B97F4A7C15, h ^= h >> 32, and the trailing bytes
+/// as FNV-1a steps. Every step is a bijection of h for a fixed input, so a
+/// change confined to one word or one byte always changes the result. About
+/// eight times fewer multiplies than Fnv64Hash on long inputs; for hashes
+/// that live only in memory or on the wire (frame checksums, the parse
+/// memo). Fingerprints and the record log keep Fnv64, whose values are
+/// persisted. Its low bits never see the top bytes of the last whole word,
+/// so a table indexed by it takes its slot from the top bits of the hash
+/// times an odd constant, as the parse memo does.
+inline uint64_t WordHash64(std::string_view s) {
+  uint64_t h = Fnv64::kOffsetBasis;
+  size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    uint64_t w;
+    std::memcpy(&w, s.data() + i, sizeof(w));
+    if constexpr (std::endian::native == std::endian::big) {
+      w = __builtin_bswap64(w);
+    }
+    h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 32;
+  }
+  for (; i < s.size(); ++i) {
+    h ^= static_cast<unsigned char>(s[i]);
+    h *= Fnv64::kPrime;
+  }
+  return h;
+}
 
 }  // namespace qmap
 

@@ -1,5 +1,6 @@
 #include "qmap/expr/parser.h"
 
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -28,7 +29,7 @@ constexpr size_t kKeepOperands = 256;
 // admission.
 class ParseMemo {
  public:
-  // The query `text` (with FNV-1a hash `hash`) parsed to earlier on this
+  // The query `text` (whose WordHash64 is `hash`) parsed to earlier on this
   // thread, if the memo holds it.
   const Query* Find(uint64_t hash, std::string_view text) const {
     if (entries_ == nullptr) return nullptr;
@@ -69,7 +70,14 @@ class ParseMemo {
     Query query;
   };
 
-  static size_t Slot(uint64_t hash) { return hash & (kParseMemoSlots - 1); }
+  // The top bits of the hash times the golden ratio (Fibonacci hashing),
+  // which depend on every bit of the hash: WordHash64's own low bits never
+  // see the top bytes of a text's last word, and its top bits spread texts
+  // that differ in a few digits over too few slots.
+  static size_t Slot(uint64_t hash) {
+    constexpr int kShift = 64 - std::countr_zero(kParseMemoSlots);
+    return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> kShift);
+  }
 
   std::unique_ptr<uint32_t[]> marks_;
   std::unique_ptr<std::unique_ptr<Entry>[]> entries_;
@@ -319,7 +327,7 @@ Result<Query> ParseQuery(std::string_view text) {
   // neither read nor written and nothing is counted.
   const bool interning = QueryInternEnabled();
   const bool memoize = interning && text.size() <= kParseMemoMaxTextBytes;
-  const uint64_t hash = memoize ? Fnv64Hash(text) : 0;
+  const uint64_t hash = memoize ? WordHash64(text) : 0;
   if (memoize) {
     if (const Query* hit = memo.Find(hash, text)) {
       CountParseMemo(/*hit=*/true);

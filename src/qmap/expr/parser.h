@@ -11,12 +11,13 @@
 namespace qmap {
 
 /// ParseQuery's per-thread memo (DESIGN.md §9): slots in its direct-mapped
-/// table, a power of two so a text's slot is the low bits of its hash, and
-/// the longest text it admits. The e2e `remote` front-end parses about 620
-/// distinct texts per client thread and `hot` 100, so the slots keep
-/// collisions rare; the cap (the longest text measured there is about
-/// 1.5 KiB) bounds what one slot holds, so a thread's table holds at most
-/// kParseMemoSlots texts of at most kParseMemoMaxTextBytes each.
+/// table, a power of two so a text's slot is the top bits of a product of
+/// its hash (parser.cc), and the longest text it admits. The e2e `remote`
+/// front-end parses about 620 distinct texts per client thread and `hot`
+/// 100, so the slots keep collisions rare; the cap (the longest text
+/// measured there is about 1.5 KiB) bounds what one slot holds, so a
+/// thread's table holds at most kParseMemoSlots texts of at most
+/// kParseMemoMaxTextBytes each.
 inline constexpr size_t kParseMemoSlots = size_t{1} << 12;
 inline constexpr size_t kParseMemoMaxTextBytes = size_t{2} << 10;
 

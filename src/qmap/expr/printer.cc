@@ -127,6 +127,42 @@ void AppendParseableText(const Query& query, std::string* out) {
   out->append("true");
 }
 
+void RenderMemo::Append(const Query& query, std::string* out) {
+  const uint64_t fp = query.fingerprint();
+  const size_t slot = fp & (kRenderMemoSlots - 1);
+  if (entries_ != nullptr) {
+    const Entry* entry = entries_[slot].get();
+    if (entry != nullptr && entry->query.identity() == query.identity()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      out->append(entry->text);
+      return;
+    }
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  const size_t start = out->size();
+  AppendParseableText(query, out);
+
+  // Marks the slot on a first sighting and admits the node on a second.
+  if (marks_ == nullptr) {
+    marks_ = std::make_unique<uint32_t[]>(kRenderMemoSlots);
+  }
+  // Never 0, the mark of a slot nothing has landed in.
+  const uint32_t mark = static_cast<uint32_t>(fp >> 32) | 1;
+  if (marks_[slot] != mark) {
+    marks_[slot] = mark;
+    return;
+  }
+  const size_t length = out->size() - start;
+  if (length > kRenderMemoMaxTextBytes) return;
+  if (entries_ == nullptr) {
+    entries_ = std::make_unique<std::unique_ptr<Entry>[]>(kRenderMemoSlots);
+  }
+  std::unique_ptr<Entry>& entry = entries_[slot];
+  if (entry == nullptr) entry = std::make_unique<Entry>();
+  entry->query = query;
+  entry->text.assign(*out, start, length);
+}
+
 std::string ToParseableText(const Query& query) {
   std::string out;
   AppendParseableText(query, &out);

@@ -125,7 +125,7 @@ void EventLoop::Run() {
     fds.push_back({listener_->fd(), static_cast<short>(take ? POLLIN : 0), 0});
     for (const std::unique_ptr<Conn>& conn : conns_) {
       short events = 0;
-      if (!conn->close_after_flush_ && !conn->reads_paused_) events |= POLLIN;
+      if (conn->Readable()) events |= POLLIN;
       if (conn->out_pending() > 0) events |= POLLOUT;
       fds.push_back({conn->fd_, events, 0});
     }
@@ -202,8 +202,9 @@ void EventLoop::Run() {
         CloseConn(i, /*flushed=*/false);
         continue;
       }
-      if (!conn.close_after_flush_ && !conn.reads_paused_ &&
-          (pfd.revents & POLLIN) != 0) {
+      // Readable() again: a completion posted since poll() may have pushed
+      // the output to the bound.
+      if (conn.Readable() && (pfd.revents & POLLIN) != 0) {
         char buf[4096];
         bool peer_gone = false;
         size_t appended = 0;
@@ -233,6 +234,7 @@ void EventLoop::Run() {
         }
       }
       if (conn.out_pending() > 0 || conn.close_after_flush_) {
+        const bool was_full = conn.out_pending() >= kMaxUnflushedBytes;
         while (conn.out_offset_ < conn.out_.size()) {
           ssize_t n = send(conn.fd_, conn.out_.data() + conn.out_offset_,
                            conn.out_.size() - conn.out_offset_, MSG_NOSIGNAL);
@@ -254,6 +256,20 @@ void EventLoop::Run() {
           }
           conn.out_.clear();
           conn.out_offset_ = 0;
+        } else if (conn.out_offset_ >= kMaxUnflushedBytes) {
+          // Drop the flushed prefix, so the buffer stays near the bound
+          // while a slow peer keeps reading.
+          conn.out_.erase(0, conn.out_offset_);
+          conn.out_offset_ = 0;
+        }
+        // Reads resume by themselves on the next poll; bytes that arrived
+        // while the output was full are handed over now.
+        if (was_full && conn.Readable() && !conn.in_.empty()) {
+          handler_->OnData(conn);
+          if (conn.aborted_) {
+            CloseConn(i, /*flushed=*/false);
+            continue;
+          }
         }
       }
     }

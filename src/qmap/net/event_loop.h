@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,6 +20,14 @@
 namespace qmap {
 
 class EventLoop;
+
+/// The most output a connection may have queued and unflushed before its
+/// reads stop. While out_pending() is at or above it, the loop neither polls
+/// nor reads the connection, so a peer that sends requests but never reads
+/// the replies fills its own TCP window instead of this process's memory.
+/// Once a flush brings the output back under the bound, reads resume, and a
+/// handler whose in() still holds bytes is handed them again (OnData).
+inline constexpr size_t kMaxUnflushedBytes = size_t{1} << 20;
 
 /// One accepted connection, owned by its EventLoop. Handlers receive a Conn&
 /// during OnAccept/OnData/OnClose and may also look one up by id() via
@@ -72,6 +81,12 @@ class Conn {
  private:
   friend class EventLoop;
 
+  // Whether the loop polls and reads this connection.
+  bool Readable() const {
+    return !close_after_flush_ && !reads_paused_ &&
+           out_pending() < kMaxUnflushedBytes;
+  }
+
   int fd_ = -1;
   uint64_t id_ = 0;
   std::string in_;
@@ -92,8 +107,10 @@ class ConnHandler {
   /// A connection was accepted (already non-blocking, already counted).
   /// Typical work: arm the I/O deadline, attach quota state.
   virtual void OnAccept(Conn& conn) = 0;
-  /// New bytes were appended to conn.in(). Consume complete requests/frames;
-  /// partial input may be left in place.
+  /// New bytes were appended to conn.in(), or the connection's output just
+  /// flushed back under kMaxUnflushedBytes with bytes still in conn.in().
+  /// Consume complete requests/frames; partial input may be left in place.
+  /// Never called while out_pending() is at or above the bound.
   virtual void OnData(Conn& conn) = 0;
   /// The connection is about to close (any path: flushed, error, timeout,
   /// abort, loop shutdown). Drop per-connection state keyed by conn.id().

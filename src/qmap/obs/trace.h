@@ -174,9 +174,12 @@ Result<ParsedTrace> ParseTraceJson(const std::string& json);
 
 /// Folds every finished span's duration into `registry` as a per-phase
 /// latency histogram named `qmap_span_<name>_us` (span names sanitized to
-/// metric charset, e.g. "cache.lookup" → qmap_span_cache_lookup_us). This is
-/// how the Prometheus export gets per-phase latencies without the core
-/// algorithms ever seeing the registry.
+/// metric charset, e.g. "cache.lookup" → qmap_span_cache_lookup_us). A
+/// standalone utility for callers that hold a trace and want its spans as
+/// histograms; it renders a name and looks up a histogram per span. The
+/// service does not call it: its per-stage qmap_stage_*_us histograms are
+/// fed from clock reads (docs/OBSERVABILITY.md). Fold each trace once; a
+/// trace folded twice counts its spans twice.
 void RecordTraceMetrics(const Trace& trace, MetricsRegistry* registry);
 
 }  // namespace qmap

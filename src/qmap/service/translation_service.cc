@@ -69,6 +69,32 @@ std::span<const size_t> Unanswered(
   return storage;
 }
 
+// Times one stage of a request into its qmap_stage_<stage>_us histogram:
+// two clock reads and one Record, or a null check when no registry is
+// attached. Records on Stop() or, at the latest, on destruction.
+class StageTimer {
+ public:
+  explicit StageTimer(Histogram* hist) : hist_(hist) {
+    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~StageTimer() { Stop(); }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+  void Stop() {
+    if (hist_ == nullptr) return;
+    hist_->Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count()));
+    hist_ = nullptr;
+  }
+
+ private:
+  Histogram* hist_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 }  // namespace
 
 TranslationService::TranslationService(ServiceOptions options)
@@ -107,6 +133,26 @@ TranslationService::TranslationService(ServiceOptions options)
     latency_hist_ = &metrics->histogram(
         "qmap_translate_latency_us",
         "End-to-end Translate wall time in microseconds.");
+    stage_cache_lookup_hist_ = &metrics->histogram(
+        "qmap_stage_cache_lookup_us",
+        "One Translate call's RAM-cache probes of every source, in "
+        "microseconds.");
+    stage_source_hist_ = &metrics->histogram(
+        "qmap_stage_source_us",
+        "One unit of work of a Translate call (a local miss, or one remote "
+        "group's misses), store tier and retries included, in microseconds.");
+    stage_translate_hist_ = &metrics->histogram(
+        "qmap_stage_translate_us",
+        "One local source's translation (Translator::Translate), in "
+        "microseconds.");
+    stage_join_hist_ = &metrics->histogram(
+        "qmap_stage_join_us",
+        "One Translate call's gather of every source's outcome, in "
+        "microseconds.");
+    stage_filter_hist_ = &metrics->histogram(
+        "qmap_stage_filter_us",
+        "One Translate call's merged residue filter (the gather's Finish), "
+        "in microseconds.");
     match_attempts_counter_ =
         &metrics->counter("qmap_match_pattern_attempts_total");
     match_index_hits_counter_ = &metrics->counter("qmap_match_index_hits_total");
@@ -501,12 +547,16 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   // RAM cache answers a repeated query outright. Probe every source here on
   // the calling thread; only the misses go on to be translated.
   size_t misses = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (std::optional<Translation> hit =
-            LookupCached(sources_[i], full, trace, root_id)) {
-      outcomes[i].emplace(*std::move(hit));
-    } else {
-      ++misses;
+  {
+    StageTimer stage(options_.enable_cache ? stage_cache_lookup_hist_
+                                           : nullptr);
+    for (size_t i = 0; i < n; ++i) {
+      if (std::optional<Translation> hit =
+              LookupCached(sources_[i], full, trace, root_id)) {
+        outcomes[i].emplace(*std::move(hit));
+      } else {
+        ++misses;
+      }
     }
   }
   // One unit of work, end to end: a local miss, or a remote group's misses.
@@ -530,8 +580,22 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
         trace->AddCompleteSpan("pool.wait", root_id, submit_ns, start_ns);
       }
     }
+    StageTimer stage(stage_source_hist_);
     TranslateUnit(missed, full, trace, source_span.id(), cancel, outcomes,
                   reports);
+    stage.Stop();
+    if (stage_translate_hist_ != nullptr) {
+      // A local translator timed itself; a store hit never translated.
+      for (size_t i : missed) {
+        if (sources_[i].transport->spec() == nullptr || !outcomes[i]->ok()) {
+          continue;
+        }
+        const TranslationStats& stats = (*outcomes[i])->stats;
+        if (stats.store_hits == 0) {
+          stage_translate_hist_->Record(stats.translate_ns / 1000);
+        }
+      }
+    }
     if (source_span.enabled()) {
       // The unit waited once, so its pool wait counts on its first member
       // that answered; its span carries its members' summed stats.
@@ -594,14 +658,18 @@ Result<MediatorTranslation> TranslationService::TranslateFull(
   // Deterministic join: sources_ is sorted by name, and the gather always
   // runs in that order, independent of task completion order.
   Span join_span(trace, "join", root_id);
+  StageTimer join_stage(stage_join_hist_);
   PartialResultGather gather(resilience_.get(), n);
   for (size_t i = 0; i < n; ++i) {
     Status failure =
         gather.Add(sources_[i].name, *std::move(outcomes[i]), reports[i]);
     if (!failure.ok()) return failure;
   }
+  join_stage.Stop();
   join_span.End();
+  StageTimer filter_stage(stage_filter_hist_);
   Result<MediatorTranslation> out = gather.Finish(full, root);
+  filter_stage.Stop();
   if (!out.ok()) return out;
   if (fan_out) out->stats.parallel_tasks += tasks;
   if (match_attempts_counter_ != nullptr) {
@@ -626,13 +694,12 @@ Result<MediatorTranslation> TranslationService::TranslateObserved(
   if (!want_obs) return TranslateFull(full, trace, cancel);
 
   // The slow-query log wants a trace of every query so the slow ones come
-  // with their per-source spans attached, the per-phase qmap_span_*
-  // histograms are fed from trace spans, and the retention ring stores
+  // with their per-source spans attached, and the retention ring stores
   // completed traces; record a trace internally when the caller did not
-  // supply one and any of those consumers is active.
+  // supply one and either consumer is active. Metrics alone need none: the
+  // stage histograms are fed from clock reads in TranslateFull.
   std::unique_ptr<Trace> local_trace;
-  if (trace == nullptr &&
-      (slow.enabled || sampled || options_.obs.metrics != nullptr)) {
+  if (trace == nullptr && (slow.enabled || sampled)) {
     local_trace = std::make_unique<Trace>("service", /*capture_detail=*/false);
     trace = local_trace.get();
   }
@@ -677,9 +744,6 @@ Result<MediatorTranslation> TranslationService::TranslateObserved(
     } else {
       latency_hist_->Record(total_us);
     }
-  }
-  if (trace != nullptr && options_.obs.metrics != nullptr) {
-    RecordTraceMetrics(*trace, options_.obs.metrics);
   }
   if (!out.ok() || !is_slow) return out;
 

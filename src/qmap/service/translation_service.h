@@ -60,8 +60,10 @@ struct ObsOptions {
   /// (qmap_translate_total, qmap_translate_latency_us, qmap_cache_*_total,
   /// qmap_pool_*_us, qmap_slow_queries_total, the rule-matching counters
   /// qmap_match_pattern_attempts_total / qmap_match_index_hits_total /
-  /// qmap_match_attempts_saved_total, and
-  /// per-phase qmap_span_*_us from traced runs). Must outlive the service.
+  /// qmap_match_attempts_saved_total, and the per-stage
+  /// qmap_stage_{cache_lookup,source,translate,join,filter}_us, fed from
+  /// clock reads on every call, traced or not). A registry alone records no
+  /// trace. Must outlive the service.
   MetricsRegistry* metrics = nullptr;
   SlowQueryLogOptions slow_query;
   /// Sampled trace retention (see qmap/obs/trace_ring.h): every Nth query
@@ -399,8 +401,6 @@ class TranslationService {
   /// fanout.wait) and the full per-source algorithm spans underneath (tdqm,
   /// psafe, ednf.safety, scm, disjunctivize — or one rpc.translate per wire
   /// call; see docs/OBSERVABILITY.md).
-  /// Caveat: reusing one Trace across calls double-counts its spans in
-  /// qmap_span_* metrics; pass a fresh Trace per call when metrics are on.
   Result<MediatorTranslation> Translate(const Query& query,
                                         Trace* trace = nullptr) const;
 
@@ -652,6 +652,12 @@ class TranslationService {
   Counter* translate_counter_ = nullptr;
   Counter* slow_counter_ = nullptr;
   Histogram* latency_hist_ = nullptr;
+  // qmap_stage_<stage>_us, one per stage of TranslateFull.
+  Histogram* stage_cache_lookup_hist_ = nullptr;
+  Histogram* stage_source_hist_ = nullptr;
+  Histogram* stage_translate_hist_ = nullptr;
+  Histogram* stage_join_hist_ = nullptr;
+  Histogram* stage_filter_hist_ = nullptr;
   Counter* match_attempts_counter_ = nullptr;
   Counter* match_index_hits_counter_ = nullptr;
   Counter* match_saved_counter_ = nullptr;

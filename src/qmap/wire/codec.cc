@@ -79,12 +79,17 @@ bool PayloadReader::ReadStr(std::string_view* out) {
 
 namespace {
 
-// PutStr of the query's parseable text, rendered in place: a zero length
-// goes out first and is patched once the text's size is known.
-void PutQueryText(std::string* out, const Query& query) {
+// PutStr of the query's parseable text, rendered in place (through `memo`
+// when there is one): a zero length goes out first and is patched once the
+// text's size is known.
+void PutQueryText(std::string* out, const Query& query, RenderMemo* memo) {
   const size_t prefix = out->size();
   PutU32(out, 0);
-  AppendParseableText(query, out);
+  if (memo != nullptr) {
+    memo->Append(query, out);
+  } else {
+    AppendParseableText(query, out);
+  }
   const auto length = static_cast<uint32_t>(out->size() - prefix - 4);
   for (int i = 0; i < 4; ++i) {
     (*out)[prefix + i] = static_cast<char>(length >> (8 * i));
@@ -93,9 +98,10 @@ void PutQueryText(std::string* out, const Query& query) {
 
 }  // namespace
 
-void EncodeTranslationBody(std::string* out, const Translation& value) {
-  PutQueryText(out, value.mapped);
-  PutQueryText(out, value.filter);
+void EncodeTranslationBody(std::string* out, const Translation& value,
+                           RenderMemo* memo) {
+  PutQueryText(out, value.mapped, memo);
+  PutQueryText(out, value.filter, memo);
   const auto& entries = value.coverage.Entries();
   PutU32(out, static_cast<uint32_t>(entries.size()));
   for (const auto& [fp, exact] : entries) {

@@ -10,6 +10,8 @@
 
 namespace qmap {
 
+class RenderMemo;
+
 // ---------------------------------------------------------------------------
 // The one binary value encoding shared by the persistent translation store
 // and the wire protocol. A Translation serialized here is rebuilt
@@ -50,8 +52,11 @@ class PayloadReader {
 };
 
 /// Appends the translation body (mapped/filter/coverage; stats are
-/// per-invocation and never serialized).
-void EncodeTranslationBody(std::string* out, const Translation& value);
+/// per-invocation and never serialized). With a `memo`, the two query texts
+/// are rendered through it (the same bytes, fewer renders); its owner alone
+/// may pass it.
+void EncodeTranslationBody(std::string* out, const Translation& value,
+                           RenderMemo* memo = nullptr);
 
 /// Decodes a translation body in place. Does not require the reader to be
 /// at end afterwards (wire messages embed the body mid-payload; the store

@@ -22,7 +22,7 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
   PutU8(&out, static_cast<uint8_t>(type));
   PutU16(&out, 0);  // reserved
   PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU64(&out, Fnv64Hash(payload));
+  PutU64(&out, WordHash64(payload));
   out.append(payload);
   return out;
 }
@@ -59,7 +59,7 @@ FrameDecodeResult DecodeFrame(std::string_view buf, FrameType* type,
   const size_t total = Frame::kHeaderBytes + length;
   if (buf.size() < total) return FrameDecodeResult::kNeedMore;
   std::string_view body = buf.substr(Frame::kHeaderBytes, length);
-  if (Fnv64Hash(body) != checksum) return FrameDecodeResult::kMalformed;
+  if (WordHash64(body) != checksum) return FrameDecodeResult::kMalformed;
   *type = static_cast<FrameType>(raw_type);
   *payload = body;
   *frame_len = total;

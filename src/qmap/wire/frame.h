@@ -15,15 +15,17 @@ enum class FrameType : uint8_t {
   kCatalogResponse = 4,
 };
 
-/// The qmap RPC frame — the same length-prefixed, FNV-checksummed discipline
-/// as the store's record log (qmap/store/record_log.h), with a magic and
+/// The qmap RPC frame — the same length-prefixed, checksummed discipline as
+/// the store's record log (qmap/store/record_log.h), with a magic and
 /// version so a stray client speaking the wrong protocol (or an old binary)
 /// is rejected at the first frame instead of being misparsed. Version 2
-/// added the multi-source translate messages (qmap/wire/messages.h); a
-/// version-1 peer and this one reject each other's frames at the header:
+/// added the multi-source translate messages (qmap/wire/messages.h);
+/// version 3 checksums the payload with WordHash64 (qmap/common/fnv.h), a
+/// word at a time, where versions 1 and 2 used byte-wise FNV-1a. A peer of
+/// an older version and this one reject each other's frames at the header:
 ///
 ///   "QWIR" magic (4) | u8 version (1) | u8 type | u16 reserved (0)
-///   | u32 LE payload length | u64 LE FNV-1a of payload | payload
+///   | u32 LE payload length | u64 LE WordHash64 of payload | payload
 ///
 /// A frame is assembled fully before writing, so — like log records — a
 /// receiver can only ever observe a clean prefix of frames plus at most one
@@ -31,7 +33,7 @@ enum class FrameType : uint8_t {
 /// "protocol violation, close the connection".
 struct Frame {
   static constexpr char kMagic[4] = {'Q', 'W', 'I', 'R'};
-  static constexpr uint8_t kVersion = 2;
+  static constexpr uint8_t kVersion = 3;
   static constexpr size_t kHeaderBytes = 20;
   /// Upper bound on one payload; a bigger length prefix is treated as a
   /// protocol violation (a translate message is a few hundred bytes).

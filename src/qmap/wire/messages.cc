@@ -15,10 +15,11 @@ constexpr size_t kMinSourceBytes = 4;
 constexpr size_t kMinReplyBytes = 9;
 
 //   reply := u8 ok | (translation body if ok, else status body)
-void EncodeReply(std::string* out, const SourceReply& reply) {
+void EncodeReply(std::string* out, const SourceReply& reply,
+                 RenderMemo* memo) {
   PutU8(out, reply.ok ? 1 : 0);
   if (reply.ok) {
-    EncodeTranslationBody(out, reply.value);
+    EncodeTranslationBody(out, reply.value, memo);
   } else {
     EncodeStatusBody(out, reply.failure);
   }
@@ -81,12 +82,15 @@ Result<TranslateRequest> DecodeTranslateRequest(std::string_view payload) {
 }
 
 //   response := u64 id | reply(first source) | u32 n | n * reply
-std::string EncodeTranslateResponse(const TranslateResponse& response) {
+std::string EncodeTranslateResponse(const TranslateResponse& response,
+                                    RenderMemo* memo) {
   std::string out;
   PutU64(&out, response.request_id);
-  EncodeReply(&out, response);
+  EncodeReply(&out, response, memo);
   PutU32(&out, static_cast<uint32_t>(response.further.size()));
-  for (const SourceReply& reply : response.further) EncodeReply(&out, reply);
+  for (const SourceReply& reply : response.further) {
+    EncodeReply(&out, reply, memo);
+  }
   return out;
 }
 

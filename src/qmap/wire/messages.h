@@ -10,6 +10,8 @@
 
 namespace qmap {
 
+class RenderMemo;
+
 /// One translate call, front-end → worker, for every source of one request
 /// that the worker serves. Each S_i(Q) depends only on Q and source i's
 /// rules, so the query travels once and the worker parses it once. The
@@ -64,7 +66,10 @@ struct CatalogResponse {
 std::string EncodeTranslateRequest(const TranslateRequest& request);
 Result<TranslateRequest> DecodeTranslateRequest(std::string_view payload);
 
-std::string EncodeTranslateResponse(const TranslateResponse& response);
+/// With a `memo`, every translation's query texts are rendered through it
+/// (EncodeTranslationBody); the bytes are the same.
+std::string EncodeTranslateResponse(const TranslateResponse& response,
+                                    RenderMemo* memo = nullptr);
 Result<TranslateResponse> DecodeTranslateResponse(std::string_view payload);
 
 std::string EncodeCatalogResponse(const CatalogResponse& response);

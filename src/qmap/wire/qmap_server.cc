@@ -85,6 +85,8 @@ QmapServerStats QmapServer::stats() const {
   out.catalog_requests = catalog_requests_.load(std::memory_order_relaxed);
   out.reloads = reloads_.load(std::memory_order_relaxed);
   out.answered_inline = answered_inline_.load(std::memory_order_relaxed);
+  out.render_memo_hits = render_memo_.hits();
+  out.render_memo_misses = render_memo_.misses();
   out.net = loop_.stats();
   if (options_.metrics != nullptr) {
     MetricsRegistry* metrics = options_.metrics;
@@ -120,6 +122,15 @@ QmapServerStats QmapServer::stats() const {
                 "RAM-cache hit, the query failed to parse, or no service "
                 "was loaded.")
         .Set(static_cast<int64_t>(out.answered_inline));
+    metrics
+        ->gauge("qmap_rpc_render_memo_hits_total",
+                "Query texts of inline replies copied from the wire "
+                "server's render memo.")
+        .Set(static_cast<int64_t>(out.render_memo_hits));
+    metrics
+        ->gauge("qmap_rpc_render_memo_misses_total",
+                "Query texts of inline replies the wire server rendered.")
+        .Set(static_cast<int64_t>(out.render_memo_misses));
     metrics
         ->gauge("qmap_rpc_rejected_overload_total",
                 "Frames rejected by admission control (max in-flight).")
@@ -166,7 +177,10 @@ void QmapServer::Reply(Conn& conn, FrameType type, std::string_view payload) {
 
 void QmapServer::OnData(Conn& conn) {
   auto* state = static_cast<ConnState*>(conn.user_data().get());
-  while (!conn.reads_paused()) {
+  // A peer that does not read its replies gets no more frames parsed: past
+  // the bound the loop stops reading, and re-enters here once the output
+  // has flushed back under it.
+  while (!conn.reads_paused() && conn.out_pending() < kMaxUnflushedBytes) {
     FrameType type;
     std::string_view payload;
     size_t frame_len = 0;
@@ -273,13 +287,14 @@ void QmapServer::RejectTranslate(Conn& conn, const TranslateRequest& request,
         EncodeTranslateResponse(FailedResponse(request, failure)));
 }
 
-std::string QmapServer::EncodeCounted(const TranslateResponse& response) {
+std::string QmapServer::EncodeCounted(const TranslateResponse& response,
+                                      RenderMemo* memo) {
   uint64_t ok = response.ok ? 1 : 0;
   for (const SourceReply& reply : response.further) ok += reply.ok ? 1 : 0;
   responses_ok_.fetch_add(ok, std::memory_order_relaxed);
   responses_error_.fetch_add(1 + response.further.size() - ok,
                              std::memory_order_relaxed);
-  return EncodeTranslateResponse(response);
+  return EncodeTranslateResponse(response, memo);
 }
 
 void QmapServer::HandleTranslate(Conn& conn, std::string_view payload) {
@@ -322,7 +337,8 @@ void QmapServer::HandleTranslate(Conn& conn, std::string_view payload) {
   TranslationService::SourceProbe probe;
   const auto answer_inline = [&](const TranslateResponse& response) {
     answered_inline_.fetch_add(1, std::memory_order_relaxed);
-    Reply(conn, FrameType::kTranslateResponse, EncodeCounted(response));
+    Reply(conn, FrameType::kTranslateResponse,
+          EncodeCounted(response, &render_memo_));
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   };
   if (service == nullptr) {

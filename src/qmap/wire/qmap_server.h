@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "qmap/common/status.h"
+#include "qmap/expr/printer.h"
 #include "qmap/net/event_loop.h"
 #include "qmap/net/tcp_listener.h"
 #include "qmap/service/thread_pool.h"
@@ -69,6 +70,10 @@ struct QmapServerStats {
   /// trip: every listed source a RAM-cache hit (or unknown), a query that
   /// failed to parse, or no service loaded.
   uint64_t answered_inline = 0;
+  /// Query texts the inline replies took from the server's RenderMemo, and
+  /// those it rendered.
+  uint64_t render_memo_hits = 0;
+  uint64_t render_memo_misses = 0;
   EventLoopStats net;
 };
 
@@ -89,7 +94,11 @@ struct QmapServerStats {
 /// reaches the pool unparsed. The loop thread never runs store work, the
 /// store warm-up, a translation or a resilience guard. Responses to frames
 /// pipelined on one connection may therefore come back out of order; the
-/// request id pairs them.
+/// request id pairs them. The loop thread renders the inline replies through
+/// the server's own RenderMemo, so a translation the cache serves over and
+/// over is rendered about once; pooled replies render afresh. A connection
+/// whose unflushed output reaches kMaxUnflushedBytes has no further frame
+/// parsed until its peer reads.
 ///
 /// The TranslationService behind it is hot-swappable: SetService atomically
 /// replaces the shared pointer (SIGHUP/admin-triggered reload), in-flight
@@ -134,8 +143,10 @@ class QmapServer : private ConnHandler {
   /// Answers every source `request` lists with `failure`. Loop thread.
   void RejectTranslate(Conn& conn, const TranslateRequest& request,
                        const Status& failure);
-  /// Counts `response`'s per-source outcomes and encodes it. Any thread.
-  std::string EncodeCounted(const TranslateResponse& response);
+  /// Counts `response`'s per-source outcomes and encodes it, through
+  /// `memo` when given (the loop thread's render_memo_). Any thread.
+  std::string EncodeCounted(const TranslateResponse& response,
+                            RenderMemo* memo = nullptr);
   void HandleCatalog(Conn& conn);
   /// Writes one response frame and re-arms the idle deadline. Loop thread.
   void Reply(Conn& conn, FrameType type, std::string_view payload);
@@ -161,6 +172,8 @@ class QmapServer : private ConnHandler {
   std::atomic<uint64_t> catalog_requests_{0};
   std::atomic<uint64_t> reloads_{0};
   std::atomic<uint64_t> answered_inline_{0};
+  /// Renders the inline replies; the loop thread's alone.
+  RenderMemo render_memo_;
 };
 
 }  // namespace qmap

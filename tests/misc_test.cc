@@ -1,11 +1,13 @@
 // Small pieces not covered elsewhere: Status/Result plumbing, stats
-// rendering and merging, tuple rendering.
+// rendering and merging, tuple rendering, the word-wise hash.
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <utility>
 
+#include "qmap/common/fnv.h"
 #include "qmap/common/status.h"
 #include "qmap/core/stats.h"
 #include "qmap/expr/eval.h"
@@ -105,6 +107,34 @@ TEST(Tuple, InstanceFallbackLookup) {
   bare.Set("ln", Value::Str("Gray"));
   EXPECT_EQ(bare.Get(Attr::OfInstance("fac", 2, "ln"))->AsString(), "Gray");
   EXPECT_FALSE(bare.Get(Attr::OfInstance("fac", 2, "fn")).has_value());
+}
+
+TEST(WordHash64, EverySingleBitFlipChangesTheHash) {
+  // Inputs of 0 to 64 bytes cover every split between whole words and
+  // trailing bytes; each step is a bijection of the state, so no flip of
+  // one bit, in a word or in the tail, can leave the hash unchanged.
+  std::mt19937 rng(64);
+  for (size_t length = 0; length <= 64; ++length) {
+    std::string input(length, '\0');
+    for (char& c : input) c = static_cast<char>(rng());
+    const uint64_t hash = WordHash64(input);
+    for (size_t byte = 0; byte < length; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = input;
+        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+        EXPECT_NE(WordHash64(flipped), hash)
+            << "length " << length << " byte " << byte << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(WordHash64, PinnedVectors) {
+  // Words are loaded little-endian, so these hold on every host: two whole
+  // words, and two words plus five trailing bytes.
+  EXPECT_EQ(WordHash64("0123456789abcdef"), 0xa8c29e793023a386ull);
+  EXPECT_EQ(WordHash64("[a0 = 1] and [a1 = 2]"), 0x1c707973148d952eull);
+  EXPECT_EQ(WordHash64(""), Fnv64::kOffsetBasis);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the reusable qmap/net layer: TcpListener + EventLoop driven by a
 // minimal echo handler over real sockets, plus the SIGPIPE regression — a
 // peer that closes its socket mid-response must surface as an error close,
-// never as a process-killing signal.
+// never as a process-killing signal — and the bound on a connection's
+// unflushed output, for a peer that never reads.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -22,9 +24,15 @@
 namespace qmap {
 namespace {
 
-int ConnectTo(uint16_t port) {
+// A connected loopback socket; with `receive_buffer`, its kernel receive
+// buffer is shrunk to about that many bytes first.
+int ConnectTo(uint16_t port, int receive_buffer = 0) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  if (receive_buffer > 0) {
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+               sizeof(receive_buffer));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -86,7 +94,7 @@ class EchoHandler : public ConnHandler {
 };
 
 struct LoopFixture {
-  explicit LoopFixture(EchoHandler* handler, EventLoopOptions options = {}) {
+  explicit LoopFixture(ConnHandler* handler, EventLoopOptions options = {}) {
     options.poll_interval_ms = 5;
     loop = std::make_unique<EventLoop>(options);
     EXPECT_TRUE(listener.Listen("127.0.0.1", 0).ok());
@@ -227,6 +235,76 @@ TEST(EventLoop, WriteToPeerClosedSocketDoesNotRaiseSigpipe) {
   ASSERT_TRUE(SendAll(again, "quit"));
   EXPECT_NE(RecvUntilClose(again), "");
   close(again);
+}
+
+// Answers every call with 64 KiB and remembers the most output its
+// connection had unflushed whenever it was entered. Its kernel send buffer
+// is shrunk, so the output piles up in the connection, not the kernel.
+class FloodHandler : public ConnHandler {
+ public:
+  static constexpr size_t kReplyBytes = size_t{64} << 10;
+
+  void OnAccept(Conn& conn) override {
+    int bytes = 16 << 10;
+    setsockopt(conn.fd(), SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
+    conn.SetDeadlineMs(10000);
+  }
+  void OnData(Conn& conn) override {
+    max_pending_at_entry_.store(
+        std::max(max_pending_at_entry_.load(), conn.out_pending()));
+    conn.in().clear();
+    conn.Write(std::string(kReplyBytes, 'r'));
+    ++calls_;
+  }
+  void OnClose(Conn&) override {}
+
+  std::atomic<int> calls_{0};
+  std::atomic<size_t> max_pending_at_entry_{0};
+};
+
+// Whether `handler` has been entered `calls` times within `ms`.
+bool WaitForCalls(const FloodHandler& handler, int calls, int ms) {
+  for (int i = 0; i < ms && handler.calls_ < calls; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return handler.calls_ >= calls;
+}
+
+TEST(EventLoop, APeerThatNeverReadsIsNotReadPastTheOutputBound) {
+  FloodHandler handler;
+  LoopFixture fx(&handler);
+  const int fd = ConnectTo(fx.listener.port(), /*receive_buffer=*/16 << 10);
+  ASSERT_GE(fd, 0);
+
+  // One byte per request, each answered with 64 KiB the peer never reads:
+  // 64 answers would queue 4 MiB. Past the bound the loop stops reading the
+  // peer, so a request goes unanswered and the output stops growing.
+  constexpr int kRequests = 64;
+  int answered = 0;
+  while (answered < kRequests) {
+    ASSERT_TRUE(SendAll(fd, "q"));
+    if (!WaitForCalls(handler, answered + 1, 500)) break;
+    ++answered;
+  }
+  EXPECT_LT(answered, kRequests) << "the handler kept being entered";
+  EXPECT_GE(answered,
+            static_cast<int>(kMaxUnflushedBytes / FloodHandler::kReplyBytes));
+  EXPECT_LT(handler.max_pending_at_entry_.load(), kMaxUnflushedBytes);
+
+  // Once the peer reads, the output flushes under the bound and the request
+  // it sent meanwhile reaches the handler.
+  char buf[1 << 16];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (handler.calls_ <= answered &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (recv(fd, buf, sizeof(buf), MSG_DONTWAIT) <= 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(handler.calls_.load(), answered + 1);
+  EXPECT_LT(handler.max_pending_at_entry_.load(), kMaxUnflushedBytes);
+  close(fd);
 }
 
 }  // namespace

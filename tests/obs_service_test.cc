@@ -124,13 +124,15 @@ TEST(ObsService, MetricsRegistryIsPopulated) {
   // Cache: first call misses per source, later calls hit.
   EXPECT_EQ(registry.counter("qmap_cache_misses_total").value(), sources);
   EXPECT_EQ(registry.counter("qmap_cache_hits_total").value(), 2 * sources);
-  // Per-phase span histograms are fed from the service's internal traces.
-  EXPECT_GT(registry.histogram("qmap_span_service_translate_us").count(), 0u);
-  EXPECT_GT(registry.histogram("qmap_span_source_translate_us").count(), 0u);
+  // Per-stage histograms, fed from clock reads: every call probes the
+  // cache, and only the first call's misses reach a unit of work and a
+  // translation, one of each per source.
+  EXPECT_EQ(registry.histogram("qmap_stage_cache_lookup_us").count(), 3u);
+  EXPECT_EQ(registry.histogram("qmap_stage_source_us").count(), sources);
+  EXPECT_EQ(registry.histogram("qmap_stage_translate_us").count(), sources);
 
   std::string prom = registry.ToPrometheusText();
   EXPECT_NE(prom.find("qmap_translate_latency_us_bucket"), std::string::npos);
-  EXPECT_NE(prom.find("qmap_span_tdqm_us"), std::string::npos) << prom;
   EXPECT_NE(prom.find("qmap_translate_total 3"), std::string::npos);
 
   // Cache-first: only the first, all-miss call reaches the pool (one task
@@ -140,6 +142,66 @@ TEST(ObsService, MetricsRegistryIsPopulated) {
   // its threads.
   service.reset();
   EXPECT_EQ(registry.histogram("qmap_pool_run_us").count(), sources);
+}
+
+TEST(ObsService, MetricsAloneRecordNoTrace) {
+  MetricsRegistry registry;
+  ServiceOptions options;
+  options.obs.metrics = &registry;
+  auto service = MakeFacultyService(options);
+  // Trace serials are process-wide and consecutive: a trace the service
+  // recorded inside the call would take the serial between these two.
+  const Trace before("before");
+  ASSERT_TRUE(service->Translate(FacultyQuery()).ok());
+  const Trace after("after");
+  EXPECT_EQ(after.serial(), before.serial() + 1);
+  EXPECT_EQ(registry.histogram("qmap_translate_latency_us").count(), 1u);
+  EXPECT_EQ(registry.histogram("qmap_stage_filter_us").count(), 1u);
+}
+
+TEST(ObsService, StageHistogramsCountTheRequestsThatReachedThem) {
+  MetricsRegistry registry;
+  ServiceOptions options;
+  options.num_threads = 4;
+  options.obs.metrics = &registry;
+  auto service = MakeFacultyService(options);
+  const auto count = [&registry](const std::string& stage) {
+    return registry.histogram("qmap_stage_" + stage + "_us").count();
+  };
+  // Misses fan out to the pool, hits stop at the cache.
+  const std::vector<Query> requests = {
+      FacultyQuery(), FacultyQuery(), Q("[fac.dept = \"ee\"]"),
+      FacultyQuery(), Q("[fac.dept = \"ee\"]")};
+  const ServiceStats before = service->stats();
+  for (const Query& query : requests) {
+    ASSERT_TRUE(service->Translate(query).ok());
+  }
+  const ServiceStats after = service->stats();
+  EXPECT_EQ(count("cache_lookup"), requests.size());
+  EXPECT_EQ(count("join"), requests.size());
+  EXPECT_EQ(count("filter"), requests.size());
+  EXPECT_EQ(count("source"), after.parallel_tasks + after.inline_tasks -
+                                 before.parallel_tasks - before.inline_tasks);
+  const uint64_t local_misses = after.cache.misses - before.cache.misses;
+  EXPECT_EQ(local_misses, 2 * service->num_sources());
+  EXPECT_EQ(count("translate"), local_misses);
+
+  // With the cache off nothing is probed, and every source is a unit of
+  // work that translates, on every call.
+  MetricsRegistry uncached_registry;
+  options.enable_cache = false;
+  options.obs.metrics = &uncached_registry;
+  auto uncached = MakeFacultyService(options);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(uncached->Translate(FacultyQuery()).ok());
+  }
+  const uint64_t units = 2 * uncached->num_sources();
+  EXPECT_EQ(uncached_registry.histogram("qmap_stage_cache_lookup_us").count(),
+            0u);
+  EXPECT_EQ(uncached_registry.histogram("qmap_stage_source_us").count(), units);
+  EXPECT_EQ(uncached_registry.histogram("qmap_stage_translate_us").count(),
+            units);
+  EXPECT_EQ(uncached_registry.histogram("qmap_stage_join_us").count(), 2u);
 }
 
 TEST(ObsService, MatchCountersAreExported) {

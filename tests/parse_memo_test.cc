@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
 #include <random>
 #include <string>
@@ -58,14 +59,16 @@ TEST(ParseMemo, AnswersATextFromItsThirdParse) {
 TEST(ParseMemo, ACollidingTextTakesTheSlotOnItsSecondSighting) {
   InternToggle on(true);
   OnFreshThread([] {
+    // A text's slot: the top bits of its WordHash64 times the golden ratio.
+    const auto slot = [](const std::string& text) {
+      constexpr int kShift = 64 - std::countr_zero(kParseMemoSlots);
+      return (WordHash64(text) * 0x9E3779B97F4A7C15ull) >> kShift;
+    };
     const std::string a = "[memo_slot = 0]";
     std::string b;
     for (int i = 1; b.empty(); ++i) {
       std::string candidate = "[memo_slot = " + std::to_string(i) + "]";
-      if (((Fnv64Hash(candidate) ^ Fnv64Hash(a)) & (kParseMemoSlots - 1)) ==
-          0) {
-        b = candidate;
-      }
+      if (slot(candidate) == slot(a)) b = candidate;
     }
     Q(a);
     Q(a);

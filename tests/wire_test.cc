@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "qmap/common/fnv.h"
 #include "qmap/contexts/synthetic.h"
 #include "qmap/expr/parser.h"
 #include "qmap/expr/printer.h"
@@ -138,13 +139,49 @@ TEST(WireFrame, VersionOneFramesAreMalformed) {
   // A peer built before multi-source translate messages speaks version 1:
   // its frames are rejected at the header instead of being misparsed.
   std::string frame = EncodeFrame(FrameType::kTranslateRequest, "payload");
-  EXPECT_EQ(static_cast<int>(frame[4]), 2);
+  EXPECT_EQ(static_cast<int>(frame[4]), Frame::kVersion);
   frame[4] = 1;
   FrameType type;
   std::string_view payload;
   size_t frame_len = 0;
   EXPECT_EQ(DecodeFrame(frame, &type, &payload, &frame_len),
             FrameDecodeResult::kMalformed);
+}
+
+TEST(WireFrame, VersionTwoFramesAreMalformed) {
+  // A peer built before the word-wise checksum speaks version 2, checksummed
+  // with byte-wise FNV-1a: its frames are rejected at the header.
+  const std::string payload = "payload";
+  std::string v2(Frame::kMagic, sizeof(Frame::kMagic));
+  v2.push_back(2);
+  v2.push_back(static_cast<char>(FrameType::kTranslateRequest));
+  v2.append(2, '\0');
+  for (int i = 0; i < 4; ++i) {
+    v2.push_back(static_cast<char>(payload.size() >> (8 * i)));
+  }
+  const uint64_t fnv = Fnv64Hash(payload);
+  for (int i = 0; i < 8; ++i) v2.push_back(static_cast<char>(fnv >> (8 * i)));
+  v2 += payload;
+  FrameType type;
+  std::string_view decoded;
+  size_t frame_len = 0;
+  EXPECT_EQ(DecodeFrame(v2, &type, &decoded, &frame_len),
+            FrameDecodeResult::kMalformed);
+
+  // The same payload in a current frame carries its WordHash64 instead.
+  const std::string v3 = EncodeFrame(FrameType::kTranslateRequest, payload);
+  ASSERT_EQ(v3.size(), v2.size());
+  EXPECT_EQ(v3.compare(0, 4, v2, 0, 4), 0);
+  EXPECT_EQ(static_cast<int>(v3[4]), 3);
+  uint64_t checksum = 0;
+  for (int i = 0; i < 8; ++i) {
+    checksum |= static_cast<uint64_t>(static_cast<uint8_t>(v3[12 + i]))
+                << (8 * i);
+  }
+  EXPECT_EQ(checksum, WordHash64(payload));
+  ASSERT_EQ(DecodeFrame(v3, &type, &decoded, &frame_len),
+            FrameDecodeResult::kFrame);
+  EXPECT_EQ(decoded, payload);
 }
 
 TEST(WireFrame, SeededRandomBytesNeverCrashTheDecoder) {
@@ -1205,6 +1242,48 @@ TEST(QmapServer, SetServiceSwapsTheServiceBetweenInlineFrames) {
   EXPECT_EQ(first->stats().cache.hits, 2u);
   EXPECT_EQ(inline_answer, pooled);
   EXPECT_EQ(server.stats().reloads, 1u);
+  server.Stop();
+}
+
+TEST(QmapServer, InlineRepliesRenderedThroughTheMemoAreTheServiceAnswer) {
+  auto service = MakeWorkerService();
+  QmapServerOptions options;
+  options.poll_interval_ms = 5;
+  QmapServer server(options);
+  server.SetService(service);
+  ASSERT_TRUE(server.Start().ok());
+  WireClient client;
+  const TranslateRequest request = Request(
+      4, "[a0 = 1] and ([a1 = 2] or [a2 = 3])", {"S0", "S2", "S1", "S3"});
+
+  // The service's own answer, once every source is cached, encoded without
+  // a memo: the bytes each inline reply must carry.
+  const std::vector<std::string_view> names = {"S0", "S2", "S1", "S3"};
+  const Query query = Q(request.query_text);
+  service->TranslateSources(names, query);
+  std::vector<Result<Translation>> answers =
+      service->TranslateSources(names, query);
+  TranslateResponse expected;
+  expected.request_id = request.request_id;
+  expected.further.resize(names.size() - 1);
+  for (size_t k = 0; k < answers.size(); ++k) {
+    ASSERT_TRUE(answers[k].ok()) << answers[k].status().ToString();
+    SourceReply& reply = k == 0 ? expected : expected.further[k - 1];
+    reply.ok = true;
+    reply.value = *std::move(answers[k]);
+  }
+  const std::string expected_payload = EncodeTranslateResponse(expected);
+
+  for (int frame = 1; frame <= 3; ++frame) {
+    EXPECT_EQ(CallTranslate(client, server, request), expected_payload)
+        << "frame " << frame;
+  }
+  const QmapServerStats stats = server.stats();
+  EXPECT_EQ(stats.answered_inline, 3u);
+  EXPECT_GT(stats.render_memo_hits, 0u);
+  // Two texts per source per frame, each rendered or copied once.
+  EXPECT_EQ(stats.render_memo_hits + stats.render_memo_misses,
+            3 * 2 * names.size());
   server.Stop();
 }
 
